@@ -1,17 +1,24 @@
-// SABRE routing + DistanceOracle throughput at device scale — the router
-// path the oracle redesign targets. Before the redesign, routing a handful
-// of gates on an 8192-node target paid the full O(n²) distance matrix (256MB
-// and seconds of BFS) before the first swap was scored; now the router
-// touches only the rows its frontier pins.
+// SABRE routing + DistanceOracle throughput at device scale. Before the
+// oracle redesign, routing a handful of gates on an 8192-node target paid the
+// full O(n²) distance matrix (256MB and seconds of BFS) before the first swap
+// was scored. Routing is now frontier-sized: on closed-form topologies (line,
+// grid, king grid, heavy-hex) a blocked step evaluates O(1) distances inline
+// and builds no row at all, and each candidate swap rescores only the front
+// and look-ahead pairs it moves. Only irregular graphs pin O(n) BFS rows.
 //
 // Families:
 //   route_sparse/<topo>/nN — SABRE-route a K=32-gate random CX circuit on an
 //                            N-node grid / full lattice-surgery graph (one
 //                            trial, fixed seed). items = gates routed.
+//   route_dense/sycamore/qft64 — SABRE-route QFT-64 on the 8x8 Sycamore
+//                            graph (irregular: BFS rows), default options,
+//                            the paper's Fig. 18 baseline. items = gates
+//                            routed.
 //   oracle_query/<topo>/nN — random-pair distance queries through the
 //                            oracle's closed forms. items = queries.
 //   oracle_rows/<topo>/nN  — full row materialization (what DistView pins
-//                            per frontier node). items = row entries.
+//                            per touched node on irregular graphs).
+//                            items = row entries.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -23,7 +30,9 @@
 
 #include "arch/grid.hpp"
 #include "arch/lattice_surgery.hpp"
+#include "arch/sycamore.hpp"
 #include "baseline/sabre.hpp"
+#include "circuit/qft_spec.hpp"
 #include "common/prng.hpp"
 
 namespace {
@@ -87,6 +96,20 @@ void BM_RouteSparse(benchmark::State& state, const std::string& topo, int n) {
   state.counters["hw_gates"] = static_cast<double>(emitted);
 }
 
+void BM_RouteDense(benchmark::State& state) {
+  const CouplingGraph graph = make_sycamore(8);
+  const Circuit logical = qft_logical(64);
+  std::int64_t emitted = 0;
+  for (auto _ : state) {
+    const MappedCircuit mc = sabre_route(logical, graph);
+    emitted = static_cast<std::int64_t>(mc.circuit.size());
+    benchmark::DoNotOptimize(mc.final_mapping.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(logical.size()));
+  state.counters["hw_gates"] = static_cast<double>(emitted);
+}
+
 void BM_OracleQuery(benchmark::State& state, const std::string& topo, int n) {
   Case& c = get_case(topo, n);
   const DistanceOracle& oracle = c.graph.distances();
@@ -135,6 +158,8 @@ const int register_all = [] {
       }
     }
   }
+  benchmark::RegisterBenchmark("route_dense/sycamore/qft64", BM_RouteDense)
+      ->Unit(benchmark::kMillisecond);
   return 0;
 }();
 

@@ -38,6 +38,20 @@ static_assert(
 
 class CouplingGraph {
  public:
+  /// One entry of the flat CSR: a neighbour and the link type to it.
+  struct CsrEntry {
+    PhysicalQubit nbr;
+    LinkType type;
+  };
+
+  /// Row q of the flat CSR, iterable: q's neighbours in ascending id order.
+  struct CsrRow {
+    const CsrEntry* first;
+    const CsrEntry* last;
+    const CsrEntry* begin() const { return first; }
+    const CsrEntry* end() const { return last; }
+  };
+
   CouplingGraph() = default;
   CouplingGraph(std::string name, std::int32_t num_qubits);
 
@@ -88,6 +102,13 @@ class CouplingGraph {
 
   const std::vector<PhysicalQubit>& neighbors(PhysicalQubit q) const;
 
+  /// q's neighbours in ascending id order, for routers that enumerate
+  /// candidates in a fixed order without sorting them on every step.
+  CsrRow sorted_neighbors(PhysicalQubit q) const {
+    ensure_csr();
+    return {csr_.data() + csr_offset_[q], csr_.data() + csr_offset_[q + 1]};
+  }
+
   std::int32_t degree(PhysicalQubit q) const {
     return static_cast<std::int32_t>(adj_[q].size());
   }
@@ -116,11 +137,6 @@ class CouplingGraph {
   bool connected() const;
 
  private:
-  struct CsrEntry {
-    PhysicalQubit nbr;
-    LinkType type;
-  };
-
   /// Finalizes the flat CSR from the build-time rows on first query after a
   /// mutation; amortized so add_edge stays O(degree) and graph construction
   /// stays linear in edges.

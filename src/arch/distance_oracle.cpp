@@ -1,7 +1,6 @@
 #include "arch/distance_oracle.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <queue>
 
 #include "arch/coupling_graph.hpp"
@@ -42,44 +41,6 @@ DistanceOracle::DistanceOracle(const CouplingGraph& g, DistanceSpec spec,
                 g.num_qubits(),
             "DistanceOracle: grid spec does not cover the graph");
   }
-}
-
-std::int32_t DistanceOracle::closed_distance(PhysicalQubit a,
-                                             PhysicalQubit b) const {
-  switch (spec_.kind) {
-    case DistanceSpec::Kind::kLine:
-      return std::abs(a - b);
-    case DistanceSpec::Kind::kGrid: {
-      const std::int32_t dr = std::abs(a / spec_.cols - b / spec_.cols);
-      const std::int32_t dc = std::abs(a % spec_.cols - b % spec_.cols);
-      return dr + dc;
-    }
-    case DistanceSpec::Kind::kKingGrid: {
-      const std::int32_t dr = std::abs(a / spec_.cols - b / spec_.cols);
-      const std::int32_t dc = std::abs(a % spec_.cols - b % spec_.cols);
-      return std::max(dr, dc);
-    }
-    case DistanceSpec::Kind::kHeavyHex: {
-      // Main-line node id == its line position; dangling node g sits one hop
-      // off the line at junction position junctions[g].
-      const std::int32_t main_len = spec_.main_len;
-      const bool a_dangle = a >= main_len;
-      const bool b_dangle = b >= main_len;
-      const std::int32_t pa = a_dangle ? spec_.junctions[a - main_len] : a;
-      const std::int32_t pb = b_dangle ? spec_.junctions[b - main_len] : b;
-      const std::int32_t hops = (a_dangle ? 1 : 0) + (b_dangle ? 1 : 0);
-      if (a_dangle && b_dangle && pa == pb) {
-        // Two dangles on one junction would both project to the same spot;
-        // the builders never create that, but keep the formula total.
-        return a == b ? 0 : 2;
-      }
-      return hops + std::abs(pa - pb);
-    }
-    case DistanceSpec::Kind::kGeneric:
-      break;
-  }
-  require(false, "DistanceOracle: closed_distance on generic spec");
-  return -1;
 }
 
 std::vector<std::int32_t> DistanceOracle::bfs_from(PhysicalQubit a) const {
@@ -128,7 +89,7 @@ DistanceOracle::RowPtr DistanceOracle::cached_row_locked(
 std::int32_t DistanceOracle::distance(PhysicalQubit a, PhysicalQubit b) const {
   require(a >= 0 && a < g_->num_qubits() && b >= 0 && b < g_->num_qubits(),
           "DistanceOracle::distance: node out of range");
-  if (closed_form()) return closed_distance(a, b);
+  if (closed_form()) return spec_.closed_distance(a, b);
   std::lock_guard<std::mutex> lock(mutex_);
   return (*cached_row_locked(a))[b];
 }
@@ -139,7 +100,7 @@ DistanceOracle::RowPtr DistanceOracle::row(PhysicalQubit a) const {
   if (closed_form()) {
     const std::int32_t n = g_->num_qubits();
     std::vector<std::int32_t> r(static_cast<std::size_t>(n));
-    for (std::int32_t b = 0; b < n; ++b) r[b] = closed_distance(a, b);
+    for (std::int32_t b = 0; b < n; ++b) r[b] = spec_.closed_distance(a, b);
     return std::make_shared<const std::vector<std::int32_t>>(std::move(r));
   }
   std::lock_guard<std::mutex> lock(mutex_);

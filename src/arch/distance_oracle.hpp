@@ -15,14 +15,18 @@
 //     LRU row budget, so memory stays bounded no matter how many sources a
 //     router touches.
 //
-// Rows are handed out as shared_ptrs, so a handle stays valid after the LRU
-// evicts the row — routers (SABRE) pin the rows of the round's frontier and
-// query them lock-free. The full eager matrix survives only as
+// Routers on closed-form topologies call DistanceSpec::closed_distance
+// inline and never build a row. Rows are handed out as shared_ptrs, so a
+// handle stays valid after the LRU evicts the row — on irregular graphs,
+// routers (SABRE) pin the rows they touch and query them lock-free. The full
+// eager matrix survives only as
 // eager_matrix_for_tests(), the differential oracle the property sweep in
 // tests/test_distance_oracle.cpp compares every topology against.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -80,6 +84,40 @@ struct DistanceSpec {
     s.junctions = std::move(junctions);
     return s;
   }
+
+  /// Hop distance in closed form: pure arithmetic, no rows, no lock. The
+  /// one formula behind both DistanceOracle::distance and SABRE's scoring
+  /// loop. Throws on kGeneric, which has no closed form.
+  std::int32_t closed_distance(PhysicalQubit a, PhysicalQubit b) const {
+    switch (kind) {
+      case Kind::kLine:
+        return std::abs(a - b);
+      case Kind::kGrid:
+        return std::abs(a / cols - b / cols) + std::abs(a % cols - b % cols);
+      case Kind::kKingGrid:
+        return std::max(std::abs(a / cols - b / cols),
+                        std::abs(a % cols - b % cols));
+      case Kind::kHeavyHex: {
+        // Main-line node id == its line position; dangling node g sits one
+        // hop off the line at junction position junctions[g].
+        const bool a_dangle = a >= main_len;
+        const bool b_dangle = b >= main_len;
+        const std::int32_t pa = a_dangle ? junctions[a - main_len] : a;
+        const std::int32_t pb = b_dangle ? junctions[b - main_len] : b;
+        if (a_dangle && b_dangle && pa == pb) {
+          // Two dangles on one junction would both project to the same
+          // spot; the builders never create that, but keep the formula
+          // total.
+          return a == b ? 0 : 2;
+        }
+        return (a_dangle ? 1 : 0) + (b_dangle ? 1 : 0) + std::abs(pa - pb);
+      }
+      case Kind::kGeneric:
+        break;
+    }
+    require(false, "DistanceSpec: closed_distance on generic spec");
+    return -1;
+  }
 };
 
 class DistanceOracle {
@@ -132,7 +170,6 @@ class DistanceOracle {
   std::vector<std::vector<std::int32_t>> eager_matrix_for_tests() const;
 
  private:
-  std::int32_t closed_distance(PhysicalQubit a, PhysicalQubit b) const;
   std::vector<std::int32_t> bfs_from(PhysicalQubit a) const;
   RowPtr cached_row_locked(PhysicalQubit a) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -65,18 +66,75 @@ struct EndpointPair {
   PhysicalQubit b;
 };
 
-/// Pass-scoped view over the DistanceOracle: pins row handles on first
-/// touch so the scoring inner loop is a plain array load per query — no
-/// oracle mutex, no closed-form dispatch. Pinned handles survive the
-/// oracle's LRU eviction; the pin set itself is flushed when it would grow
-/// past the oracle's own budget, keeping memory in rows-touched, not n².
+/// Per-step index from a physical node to the scored pairs that have it as
+/// an endpoint, so a candidate swap rescores only the pairs it moves. Each
+/// link carries what rescoring needs: the pair's other endpoint, its
+/// unswapped distance and its term (0 = front, 1 = extended set). The heads
+/// live in one pass-scoped array and are reset pair by pair after each
+/// step, so a step costs O(pairs), never O(n).
+class TouchIndex {
+ public:
+  struct Link {
+    PhysicalQubit other;
+    std::int32_t base;
+    std::int32_t term;
+    std::int32_t next;
+  };
+
+  explicit TouchIndex(std::int32_t nodes)
+      : head_(static_cast<std::size_t>(nodes), -1) {}
+
+  void add(const EndpointPair& ep, std::int32_t base, std::int32_t term) {
+    link(ep.a, {ep.b, base, term, head_[ep.a]});
+    link(ep.b, {ep.a, base, term, head_[ep.b]});
+  }
+
+  /// Drops every link; `pairs` must be the pairs added since the last reset.
+  void reset(const std::vector<EndpointPair>& pairs) {
+    for (const EndpointPair& ep : pairs) head_[ep.a] = head_[ep.b] = -1;
+    links_.clear();
+  }
+
+  /// Calls f(link) for every pair with endpoint p.
+  template <class F>
+  void for_each(PhysicalQubit p, F f) const {
+    for (std::int32_t t = head_[p]; t >= 0; t = links_[t].next) f(links_[t]);
+  }
+
+ private:
+  void link(PhysicalQubit p, const Link& l) {
+    head_[p] = static_cast<std::int32_t>(links_.size());
+    links_.push_back(l);
+  }
+
+  std::vector<std::int32_t> head_;
+  std::vector<Link> links_;
+};
+
+/// Pass-scoped hop distances for the scoring loop. Closed-form topologies
+/// (line, grid, king grid, heavy-hex) evaluate DistanceSpec::closed_distance
+/// inline, so a query costs O(1) whatever n is and no row is ever built.
+/// Generic graphs pin oracle rows on first touch so a query is a plain array
+/// load — no oracle mutex. Pinned handles survive the oracle's LRU eviction;
+/// the pin set itself is flushed when it would grow past the oracle's own
+/// budget, keeping memory in rows-touched, not n².
 class DistView {
  public:
   explicit DistView(const CouplingGraph& g)
       : oracle_(&g.distances()),
-        rowptr_(static_cast<std::size_t>(g.num_qubits()), nullptr),
-        limit_(std::max<std::size_t>(64, oracle_->row_budget())) {}
+        spec_(&oracle_->spec()),
+        closed_(oracle_->closed_form()) {
+    if (!closed_) {
+      rowptr_.assign(static_cast<std::size_t>(g.num_qubits()), nullptr);
+      limit_ = std::max<std::size_t>(64, oracle_->row_budget());
+    }
+  }
 
+  std::int32_t operator()(PhysicalQubit a, PhysicalQubit b) {
+    return closed_ ? spec_->closed_distance(a, b) : row(a)[b];
+  }
+
+ private:
   const std::int32_t* row(PhysicalQubit a) {
     const std::int32_t* r = rowptr_[a];
     if (r == nullptr) {
@@ -91,11 +149,12 @@ class DistView {
     return r;
   }
 
- private:
   const DistanceOracle* oracle_;
+  const DistanceSpec* spec_;
+  bool closed_;
   std::vector<const std::int32_t*> rowptr_;
   std::vector<DistanceOracle::RowPtr> pinned_;
-  std::size_t limit_;
+  std::size_t limit_ = 0;
 };
 
 // One full routing pass. When `emit` is false only the final mapping is
@@ -112,6 +171,7 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
                       Xoshiro256ss& rng, const SabreOptions& opts, bool emit) {
   const std::int32_t n = logical.num_qubits();
   DistView dist(g);
+  TouchIndex touching(g.num_qubits());
   const EdgePenalty penalty(opts);
   MappingTracker map(initial, g.num_qubits());
 
@@ -127,6 +187,13 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
   PassResult out;
   out.circuit = Circuit(g.num_qubits());
   std::vector<double> decay(n, 1.0);
+  // Qubits whose decay moved off 1.0 since the last reset: a reset restores
+  // just these, so it costs O(decay_reset), not O(n).
+  std::vector<LogicalQubit> decayed;
+  const auto reset_decay = [&] {
+    for (const LogicalQubit l : decayed) decay[l] = 1.0;
+    decayed.clear();
+  };
   std::int32_t swaps_since_reset = 0;
   std::size_t executed = 0;
 
@@ -138,16 +205,37 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
 
   // Round-scoped scratch, hoisted so the blocked-step loop never allocates
   // once capacities have warmed up.
+  std::vector<PhysicalQubit> front_pos;
   std::vector<SwapCandidate> cands;
   std::vector<std::int32_t> extended;
   std::vector<std::int32_t> queue;
-  std::vector<EndpointPair> front_pairs;
-  std::vector<EndpointPair> ext_pairs;
+  std::vector<EndpointPair> pairs;  // front pairs, then extended-set pairs
   std::vector<std::size_t> best_set;
 
   const std::int64_t swap_cap =
       1000 + 64 * static_cast<std::int64_t>(dag.size()) *
                  std::max<std::int32_t>(1, g.num_qubits() / 8);
+  // Release valve: a front whose swaps all score within a hair of each
+  // other can make the heuristic wander without ever executing a gate
+  // (five crossing CXs on a 16-node line did, until the swap cap). After
+  // this many consecutive swaps with no progress, the nearest front gate is
+  // walked together deterministically. Under the default look-ahead,
+  // successful routes stay far below it (longest no-progress run measured:
+  // 38 swaps at n = 16, 828 at n = 8281), so the valve only rescues routes
+  // that would otherwise diverge. A one-gate look-ahead (extended_size = 1)
+  // can wander past it and still converge; there the valve cuts it short.
+  const std::int64_t stall_limit =
+      10 * static_cast<std::int64_t>(g.num_qubits());
+  std::int64_t stalled = 0;
+  bool front_changed = true;
+
+  const auto apply_swap = [&](PhysicalQubit a, PhysicalQubit b) {
+    if (emit) out.circuit.append(Gate::swap(a, b));
+    map.apply_swap(a, b);
+    if (++out.swaps > swap_cap) {
+      throw std::logic_error("sabre: swap cap exceeded — routing diverged");
+    }
+  };
 
   while (executed < dag.size()) {
     // Execute everything executable in the front layer.
@@ -171,6 +259,8 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
           front.pop_back();
           resolve(gi);
           ++executed;
+          stalled = 0;
+          front_changed = true;
           progress = true;
         } else {
           ++fi;
@@ -179,54 +269,66 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     }
     if (front.empty()) break;
 
-    // Blocked: choose a SWAP. Candidates touch a front-layer qubit.
+    // Blocked: every front gate is a non-adjacent two-qubit gate. Flatten
+    // them to physical endpoint pairs once per step; the scoring loop then
+    // runs over flat arrays — no tracker lookups, no maps/sets.
+    pairs.clear();
+    front_pos.clear();
+    for (auto gi : front) {
+      const Gate& gate = logical[gi];
+      const EndpointPair ep{map.physical_of(gate.q0), map.physical_of(gate.q1)};
+      pairs.push_back(ep);
+      front_pos.push_back(ep.a);
+      front_pos.push_back(ep.b);
+    }
+    const std::size_t num_front = pairs.size();
+
+    // Candidates touch a front-layer qubit. Walking the sorted, distinct
+    // front positions through their sorted CSR rows yields them already in
+    // (a, b) order and free of duplicates.
+    std::sort(front_pos.begin(), front_pos.end());
+    front_pos.erase(std::unique(front_pos.begin(), front_pos.end()),
+                    front_pos.end());
     cands.clear();
-    for (auto gi : front) {
-      const Gate& gate = logical[gi];
-      for (LogicalQubit l : {gate.q0, gate.q1}) {
-        const PhysicalQubit p = map.physical_of(l);
-        for (PhysicalQubit nb : g.neighbors(p)) cands.push_back({p, nb});
-      }
-    }
-    std::sort(cands.begin(), cands.end(), [](const auto& x, const auto& y) {
-      return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-    });
-    cands.erase(std::unique(cands.begin(), cands.end(),
-                            [](const auto& x, const auto& y) {
-                              return x.a == y.a && x.b == y.b;
-                            }),
-                cands.end());
-
-    // Extended set: the next few two-qubit gates past the front layer.
-    extended.clear();
-    queue = front;
-    for (std::size_t head = 0;
-         head < queue.size() &&
-         static_cast<std::int32_t>(extended.size()) < opts.extended_size;
-         ++head) {
-      for (auto s : dag.succ[queue[head]]) {
-        if (logical[s].two_qubit()) extended.push_back(s);
-        queue.push_back(s);
-        if (static_cast<std::int32_t>(extended.size()) >= opts.extended_size)
-          break;
-      }
+    for (const PhysicalQubit p : front_pos) {
+      for (const auto& e : g.sorted_neighbors(p)) cands.push_back({p, e.nbr});
     }
 
-    // Flatten the gates under consideration to physical endpoint pairs once
-    // per blocked step; the candidate scoring loop then runs over flat
-    // arrays with pinned oracle rows — no tracker lookups, no maps/sets.
-    front_pairs.clear();
-    for (auto gi : front) {
-      const Gate& gate = logical[gi];
-      if (!gate.two_qubit()) continue;
-      front_pairs.push_back(
-          {map.physical_of(gate.q0), map.physical_of(gate.q1)});
+    // Extended set: the next few two-qubit gates past the front layer. It
+    // depends on the front alone, not on the mapping, so it is rebuilt only
+    // after a gate has executed.
+    if (front_changed) {
+      extended.clear();
+      queue = front;
+      for (std::size_t head = 0;
+           head < queue.size() &&
+           static_cast<std::int32_t>(extended.size()) < opts.extended_size;
+           ++head) {
+        for (auto s : dag.succ[queue[head]]) {
+          if (logical[s].two_qubit()) extended.push_back(s);
+          queue.push_back(s);
+          if (static_cast<std::int32_t>(extended.size()) >= opts.extended_size)
+            break;
+        }
+      }
+      front_changed = false;
     }
-    ext_pairs.clear();
     for (auto gi : extended) {
       const Gate& gate = logical[gi];
-      ext_pairs.push_back(
-          {map.physical_of(gate.q0), map.physical_of(gate.q1)});
+      pairs.push_back({map.physical_of(gate.q0), map.physical_of(gate.q1)});
+    }
+    const std::size_t num_ext = pairs.size() - num_front;
+
+    // Score terms are hop sums over the pairs. A swap moves only the pairs
+    // it touches, so each candidate starts from the unswapped sums and
+    // rescores just those; the sums are exact in int64, so converting each
+    // once gives the same doubles as summing every term in floating point.
+    std::int64_t base_sum[2] = {0, 0};
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const std::int32_t term = i < num_front ? 0 : 1;
+      const std::int32_t d = dist(pairs[i].a, pairs[i].b);
+      base_sum[term] += d;
+      touching.add(pairs[i], d, term);
     }
 
     // Distance scores move in quanta of 1/|front| (and W/|ext| for the
@@ -235,12 +337,10 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     // not, whatever the calibration says — convergence is the depth path's.
     double tie_scale = 0.0;
     if (penalty.active()) {
-      const double fq =
-          front_pairs.empty() ? 1.0
-                              : 1.0 / static_cast<double>(front_pairs.size());
+      const double fq = 1.0 / static_cast<double>(num_front);
       const double eq =
-          (!ext_pairs.empty() && opts.extended_weight > 0.0)
-              ? opts.extended_weight / static_cast<double>(ext_pairs.size())
+          (num_ext > 0 && opts.extended_weight > 0.0)
+              ? opts.extended_weight / static_cast<double>(num_ext)
               : fq;
       tie_scale = 0.5 * std::min(fq, eq);
     }
@@ -250,22 +350,21 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
     for (std::size_t ci = 0; ci < cands.size(); ++ci) {
       const SwapCandidate& cand = cands[ci];
       const PhysicalQubit sa = cand.a, sb = cand.b;
-      // Position of endpoint p under the hypothetical swap sa<->sb.
-      const auto swapped = [sa, sb](PhysicalQubit p) {
-        return p == sa ? sb : (p == sb ? sa : p);
-      };
-      double basic = 0.0;
-      for (const EndpointPair& ep : front_pairs) {
-        basic += dist.row(swapped(ep.a))[swapped(ep.b)];
-      }
-      if (!front_pairs.empty()) basic /= static_cast<double>(front_pairs.size());
-      double ext = 0.0;
-      if (!ext_pairs.empty()) {
-        for (const EndpointPair& ep : ext_pairs) {
-          ext += dist.row(swapped(ep.a))[swapped(ep.b)];
-        }
-        ext /= static_cast<double>(ext_pairs.size());
-      }
+      // Swapping sa<->sb moves a pair's endpoint at sa to sb and vice
+      // versa. Distances are symmetric, so a pair with both endpoints in
+      // {sa, sb} keeps its distance and is skipped.
+      std::int64_t sum[2] = {base_sum[0], base_sum[1]};
+      touching.for_each(sa, [&](const TouchIndex::Link& l) {
+        if (l.other != sb) sum[l.term] += dist(sb, l.other) - l.base;
+      });
+      touching.for_each(sb, [&](const TouchIndex::Link& l) {
+        if (l.other != sa) sum[l.term] += dist(sa, l.other) - l.base;
+      });
+      const double basic =
+          static_cast<double>(sum[0]) / static_cast<double>(num_front);
+      const double ext = num_ext == 0 ? 0.0
+                                      : static_cast<double>(sum[1]) /
+                                            static_cast<double>(num_ext);
       const LogicalQubit la = map.logical_at(sa);
       const LogicalQubit lb = map.logical_at(sb);
       const double da = la == kInvalidQubit ? 1.0 : decay[la];
@@ -279,21 +378,54 @@ PassResult route_pass(const Circuit& logical, const Dag& dag,
         best_set.push_back(ci);
       }
     }
+    touching.reset(pairs);
     require(!best_set.empty(), "sabre: no swap candidates on connected graph");
     const SwapCandidate chosen = cands[best_set[rng.uniform(best_set.size())]];
 
-    if (emit) out.circuit.append(Gate::swap(chosen.a, chosen.b));
     const LogicalQubit la = map.logical_at(chosen.a);
     const LogicalQubit lb = map.logical_at(chosen.b);
-    map.apply_swap(chosen.a, chosen.b);
-    if (la != kInvalidQubit) decay[la] += opts.decay_delta;
-    if (lb != kInvalidQubit) decay[lb] += opts.decay_delta;
+    apply_swap(chosen.a, chosen.b);
+    for (const LogicalQubit l : {la, lb}) {
+      if (l == kInvalidQubit) continue;
+      decay[l] += opts.decay_delta;
+      decayed.push_back(l);
+    }
     if (++swaps_since_reset >= opts.decay_reset) {
-      std::fill(decay.begin(), decay.end(), 1.0);
+      reset_decay();
       swaps_since_reset = 0;
     }
-    if (++out.swaps > swap_cap) {
-      throw std::logic_error("sabre: swap cap exceeded — routing diverged");
+
+    if (++stalled >= stall_limit) {
+      // Walk the front gate with the smallest distance (first in front
+      // order on ties) along a shortest path, stepping to the lowest-id
+      // neighbour that is one hop closer, until it is adjacent.
+      PhysicalQubit at = 0, to = 0;
+      std::int32_t d = std::numeric_limits<std::int32_t>::max();
+      for (auto gi : front) {
+        const Gate& gate = logical[gi];
+        const PhysicalQubit pa = map.physical_of(gate.q0);
+        const PhysicalQubit pb = map.physical_of(gate.q1);
+        const std::int32_t dg = dist(pa, pb);
+        if (dg < d) {
+          d = dg;
+          at = pa;
+          to = pb;
+        }
+      }
+      for (; d > 1; --d) {
+        PhysicalQubit step = at;
+        for (const auto& e : g.sorted_neighbors(at)) {
+          if (dist(e.nbr, to) == d - 1) {
+            step = e.nbr;
+            break;
+          }
+        }
+        apply_swap(at, step);
+        at = step;
+      }
+      reset_decay();
+      swaps_since_reset = 0;
+      stalled = 0;
     }
   }
 

@@ -214,6 +214,11 @@ Socket Listener::accept_connection(int timeout_ms, int wake_fd) {
   if ((pfds[0].revents & POLLIN) == 0) return Socket{};
   const int fd = ::accept(sock_.fd(), nullptr, nullptr);
   if (fd < 0) return Socket{};
+  // Responses are one small write each; without TCP_NODELAY, Nagle's
+  // algorithm holds a response back until the client's delayed ACK for the
+  // previous one arrives, adding milliseconds to every pipelined request.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return Socket(fd);
 }
 

@@ -90,7 +90,8 @@ class Listener {
   /// their own stop flag rather than blocking indefinitely. When `wake_fd`
   /// is >= 0 it is polled alongside the listener; readability there (the
   /// self-pipe a signal handler writes to) aborts the wait immediately so a
-  /// SIGTERM drain does not sit out the remaining timeout.
+  /// SIGTERM drain does not sit out the remaining timeout. Accepted sockets
+  /// have TCP_NODELAY set.
   Socket accept_connection(int timeout_ms, int wake_fd = -1);
 
   void close() { sock_.close(); }

@@ -2,9 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "arch/device_model.hpp"
 #include "arch/grid.hpp"
 #include "arch/heavy_hex.hpp"
 #include "arch/lattice_surgery.hpp"
@@ -17,7 +20,10 @@
 #include "circuit/qft_spec.hpp"
 #include "circuit/scheduler.hpp"
 #include "circuit/stats.hpp"
+#include "common/prng.hpp"
 #include "mapper/lnn_mapper.hpp"
+#include "qasm/qasm.hpp"
+#include "verify/circuit_checker.hpp"
 #include "verify/equivalence.hpp"
 #include "verify/qft_checker.hpp"
 
@@ -125,6 +131,233 @@ TEST(Sabre, HandlesNonQftCircuits) {
   const CouplingGraph g = make_line(4);
   const MappedCircuit mc = sabre_route(c, g);
   EXPECT_LT(mapped_equivalence_error(mc, 4, 0x5eed, &c), 1e-9);
+}
+
+// ------------------------------------------------------ golden routes ----
+// SABRE's scoring loop may be made faster, never different: candidate
+// order, scores, ties and RNG draws are part of its output. These routes
+// were recorded before the frontier-sized scoring rewrite and pin every
+// later change to byte-identical circuits on each distance path (the four
+// closed forms, BFS rows on irregular graphs, and the fidelity objective on
+// a calibrated device).
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Seeded circuit over n qubits: one gate in three is a 1q H/RZ, the rest
+/// CNOTs and CPhases on uniformly drawn distinct pairs.
+Circuit random_circuit(std::int32_t n, std::int32_t gates,
+                       std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  Circuit c(n);
+  for (std::int32_t i = 0; i < gates; ++i) {
+    const auto a = static_cast<std::int32_t>(rng.uniform(n));
+    const auto b = static_cast<std::int32_t>(
+        (a + 1 + static_cast<std::int32_t>(rng.uniform(n - 1))) % n);
+    switch (rng.uniform(6)) {
+      case 0:
+        c.append(Gate::h(a));
+        break;
+      case 1:
+        c.append(Gate::rz(a, 0.125 * (1 + i % 7)));
+        break;
+      case 2:
+      case 3:
+        c.append(Gate::cnot(a, b));
+        break;
+      default:
+        c.append(Gate::cphase(a, b, 0.5 / (1 + i % 5)));
+        break;
+    }
+  }
+  return c;
+}
+
+struct GoldenRoute {
+  const char* topology;
+  bool qft;  // QFT over every node, else random_circuit(logical, 4 * nodes)
+  bool relaxed;
+  std::uint64_t fnv;
+  Cycle depth;
+  std::int64_t swaps;
+};
+
+// clang-format off
+const GoldenRoute kGoldenRoutes[] = {
+    {"line16",     true,  false, 0x5758ab93dccf10d1ull, 77, 124},
+    {"line16",     true,  true,  0x75e997d859e5114cull, 173, 216},
+    {"line16",     false, false, 0x825ff9ef04e7d662ull, 48, 62},
+    {"line16",     false, true,  0x60ccdcfb16dcf26cull, 49, 59},
+    {"grid8x8",    true,  false, 0x52cc8170e740f336ull, 816, 2100},
+    {"grid8x8",    true,  true,  0xef1afc63b9b67a52ull, 2069, 2883},
+    {"grid8x8",    false, false, 0xe11ba8e4538c8bc1ull, 116, 263},
+    {"grid8x8",    false, true,  0x985182dd7b78e625ull, 112, 293},
+    {"lattice5",   true,  false, 0x740ca1669ef363e4ull, 167, 139},
+    {"lattice5",   true,  true,  0xd95073d926998c3ull, 252, 81},
+    {"lattice5",   false, false, 0x9ba183ebb167ebccull, 46, 28},
+    {"lattice5",   false, true,  0xc6c3802f307267eeull, 47, 22},
+    {"heavyhex20", true,  false, 0xf1aa5166042c9daaull, 184, 325},
+    {"heavyhex20", true,  true,  0xd4e01d72c6110033ull, 250, 342},
+    {"heavyhex20", false, false, 0x85b313fe52259d9aull, 66, 96},
+    {"heavyhex20", false, true,  0x828ecf158e066e26ull, 74, 97},
+    {"sycamore6",  true,  false, 0xe7309d0dd5173d4full, 335, 502},
+    {"sycamore6",  true,  true,  0x3ea5c19bc458539dull, 624, 649},
+    {"sycamore6",  false, false, 0x84b20f7072438e0bull, 62, 109},
+    {"sycamore6",  false, true,  0xa01df6e18cafa411ull, 74, 110},
+    {"hhdevice",   true,  false, 0xbfc1a3dcb8d6d08eull, 181, 312},
+    {"hhdevice",   true,  true,  0x17f7bb871ebb0a2bull, 259, 253},
+    {"hhdevice",   false, false, 0xa0f73477a94b6d38ull, 69, 108},
+    {"hhdevice",   false, true,  0xb3e47d928f586faaull, 60, 84},
+    {"grid9noisy", true,  false, 0x4a2470156eee5dc8ull, 35, 18},
+    {"grid9noisy", true,  true,  0xd2c6c35bf077e24cull, 39, 12},
+    {"grid9noisy", false, false, 0xcc6259c390c635e8ull, 31, 13},
+    {"grid9noisy", false, true,  0x2e4b2e6275e15bf0ull, 28, 12},
+};
+// clang-format on
+
+CouplingGraph golden_graph(const std::string& topology) {
+  if (topology == "line16") return make_line(16);
+  if (topology == "grid8x8") return make_grid(8, 8);
+  if (topology == "lattice5") return make_lattice_surgery_full(5);
+  if (topology == "heavyhex20") return make_heavy_hex(heavy_hex_layout(20));
+  if (topology == "sycamore6") return make_sycamore(6);
+  if (topology == "hhdevice") return make_heavy_hex_device(2, 9).graph;
+  ADD_FAILURE() << "unknown topology " << topology;
+  return make_line(2);
+}
+
+class SabreGolden : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SabreGolden, RouteIsByteIdenticalToTheRecordedOne) {
+  const GoldenRoute& c = kGoldenRoutes[GetParam()];
+  SabreOptions opts;
+  opts.trials = 2;
+  opts.seed = 11;
+  opts.use_relaxed_dag = c.relaxed;
+  const bool on_device = std::string(c.topology) == "grid9noisy";
+  const DeviceModel device = DeviceModel::load_file(
+      std::string(QFTO_SOURCE_DIR) + "/examples/devices/grid9-noisy.json");
+  const CouplingGraph g =
+      on_device ? device.build_graph() : golden_graph(c.topology);
+  if (on_device) {
+    opts.fidelity_objective = true;
+    opts.device = &device;
+  }
+  const std::int32_t nodes = g.num_qubits();
+  // Random circuits leave about a quarter of the nodes empty, so the
+  // unoccupied-node paths of the scorer are pinned too.
+  const Circuit logical =
+      c.qft ? qft_logical(nodes)
+            : random_circuit(nodes - nodes / 4, 4 * nodes, 1000 + nodes);
+  const MappedCircuit mc = sabre_route(logical, g, opts);
+  const std::string text = mc.circuit.to_string();
+  const Cycle depth = circuit_depth(mc.circuit);
+  const std::int64_t swaps = count_gates(mc.circuit).swap;
+  EXPECT_EQ(fnv1a(text), c.fnv)
+      << std::hex << "{\"" << c.topology << "\", " << c.qft << ", "
+      << c.relaxed << ", 0x" << fnv1a(text) << "ull, " << std::dec << depth
+      << ", " << swaps << "}";
+  EXPECT_EQ(depth, c.depth);
+  EXPECT_EQ(swaps, c.swaps);
+  if (c.qft) {
+    EXPECT_TRUE(check_qft_mapping(mc, g).ok);
+  } else {
+    EXPECT_TRUE(check_circuit_mapping(mc, logical, g).ok);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, SabreGolden,
+    ::testing::Range<std::size_t>(0, std::size(kGoldenRoutes)));
+
+// A 16-qubit, 60-gate circuit from a seeded serve stream: five crossing
+// front CXs on the line score every swap within 6.571-6.585, and trial seed
+// 7920 used to wander until the swap cap ("routing diverged"). The release
+// valve now walks the nearest front gate together after 10 x 16 swaps
+// without progress. Embedded as a literal: the *.qasm ignore rule keeps
+// loose fixture files out of the tree.
+const char* const kLineLivelockQasm = R"qasm(OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[16];
+x q[0];
+cx q[14],q[13];
+h q[1];
+h q[4];
+cx q[14],q[11];
+h q[3];
+rz(0.19634954084936207) q[5];
+cu1(1.5707963267948966) q[1],q[0];
+cx q[6],q[8];
+cx q[4],q[11];
+cu1(0.19634954084936207) q[12],q[2];
+cx q[5],q[15];
+cx q[0],q[6];
+cx q[5],q[11];
+cx q[2],q[12];
+cx q[3],q[14];
+rz(1.5707963267948966) q[11];
+cu1(0.19634954084936207) q[7],q[14];
+cx q[15],q[13];
+cx q[2],q[0];
+h q[6];
+h q[1];
+h q[1];
+h q[12];
+cx q[10],q[15];
+cu1(1.5707963267948966) q[13],q[2];
+h q[9];
+h q[6];
+cx q[6],q[13];
+cx q[2],q[14];
+cu1(0.39269908169872414) q[3],q[1];
+cu1(0.19634954084936207) q[8],q[1];
+h q[7];
+cx q[7],q[4];
+cu1(1.5707963267948966) q[6],q[9];
+cu1(0.78539816339744828) q[2],q[6];
+cx q[1],q[5];
+cx q[0],q[9];
+h q[9];
+cu1(0.39269908169872414) q[1],q[14];
+h q[2];
+h q[8];
+h q[14];
+rz(0.19634954084936207) q[4];
+rz(0.78539816339744828) q[14];
+cu1(0.39269908169872414) q[8],q[6];
+cu1(0.78539816339744828) q[5],q[4];
+h q[6];
+cu1(0.78539816339744828) q[0],q[7];
+cu1(1.5707963267948966) q[4],q[9];
+x q[11];
+cx q[5],q[13];
+cu1(1.5707963267948966) q[6],q[3];
+cu1(0.78539816339744828) q[8],q[1];
+cu1(1.5707963267948966) q[11],q[15];
+cx q[12],q[9];
+cu1(1.5707963267948966) q[1],q[7];
+h q[7];
+cx q[5],q[15];
+cx q[12],q[1];
+)qasm";
+
+TEST(Sabre, ReleaseValveEndsLineLivelock) {
+  const Circuit logical = from_qasm(kLineLivelockQasm);
+  ASSERT_EQ(logical.num_qubits(), 16);
+  const CouplingGraph g = make_line(16);
+  MappedCircuit mc;
+  ASSERT_NO_THROW(mc = sabre_route_single(logical, g, 7920));
+  const auto single = check_circuit_mapping(mc, logical, g);
+  EXPECT_TRUE(single.ok) << single.error;
+  ASSERT_NO_THROW(mc = sabre_route(logical, g));
+  const auto best = check_circuit_mapping(mc, logical, g);
+  EXPECT_TRUE(best.ok) << best.error;
 }
 
 // ------------------------------------------------------------- LNN path ----

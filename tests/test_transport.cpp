@@ -6,6 +6,8 @@
 // thread interaction here is what that leg locks in.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -131,6 +133,24 @@ TEST(Transport, EphemeralPortIsReported) {
   MappingService service{service_options(1)};
   NetServer server(service, loopback());
   EXPECT_GT(server.port(), 0) << "port 0 must resolve to the bound port";
+}
+
+TEST(Transport, AcceptedSocketsDisableNagle) {
+  // Each response is one small write; with Nagle on, a pipelined client
+  // waits out the delayed-ACK timer on every response.
+  net::Listener listener("127.0.0.1", 0);
+  ASSERT_TRUE(listener.valid());
+  std::string error;
+  const Socket client = net::dial("127.0.0.1", listener.port(), &error);
+  ASSERT_TRUE(client.valid()) << error;
+  const Socket accepted = listener.accept_connection(5000);
+  ASSERT_TRUE(accepted.valid());
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted.fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_NE(nodelay, 0);
 }
 
 // ------------------------------------------------------------ happy path --
