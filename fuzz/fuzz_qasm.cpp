@@ -6,8 +6,8 @@
 //      std::invalid_argument out of std::stoll/std::stod — exactly the
 //      defect class this harness exists to catch);
 //   2. anything that parses round-trips exactly: to_qasm of the parsed
-//      circuit reparses gate-for-gate (and mapping-for-mapping through the
-//      mapped header comments).
+//      circuit reparses gate-for-gate with every angle bit for bit (and
+//      mapping-for-mapping through the mapped header comments).
 //
 // Build modes:
 //   * QFTO_FUZZ=ON (clang): linked against libFuzzer (-fsanitize=fuzzer),
@@ -51,6 +51,12 @@ void check_round_trip(const qfto::Circuit& c) {
   for (std::size_t i = 0; i < c.size(); ++i) {
     if (!(back[i] == c[i])) violate("round trip changed a gate");
   }
+  // Gate's operator== forgives 1e-12; the fingerprint hashes every angle's
+  // bit pattern, so -0.0, tiny angles and the angle table's slot reuse must
+  // come back bit for bit.
+  if (back.fingerprint() != c.fingerprint()) {
+    violate("round trip changed an angle's bits");
+  }
 }
 
 void check_mapped_round_trip(const qfto::MappedCircuit& mc) {
@@ -64,8 +70,8 @@ void check_mapped_round_trip(const qfto::MappedCircuit& mc) {
   if (back.initial != mc.initial || back.final_mapping != mc.final_mapping) {
     violate("round trip changed a mapping header");
   }
-  if (back.circuit.size() != mc.circuit.size()) {
-    violate("mapped round trip changed circuit shape");
+  if (back.circuit.fingerprint() != mc.circuit.fingerprint()) {
+    violate("mapped round trip changed the circuit");
   }
 }
 

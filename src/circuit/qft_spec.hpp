@@ -15,6 +15,11 @@ namespace qfto {
 /// Rotation angle of the QFT CPHASE between logical qubits i < j.
 double qft_angle(LogicalQubit i, LogicalQubit j);
 
+/// Registers the QFT angle of every gap 0..n-1 (gap 0 an unused +0.0
+/// placeholder) in c's angle table and returns the slot of gap 0: a CPHASE
+/// between logical qubits i < j uses slot `base + (j - i)`.
+std::uint32_t add_qft_angles(Circuit& c, std::int32_t n);
+
 /// Textbook-ordered logical QFT circuit on n qubits:
 /// n H gates + n(n-1)/2 CPHASE gates.
 Circuit qft_logical(std::int32_t n);

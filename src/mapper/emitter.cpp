@@ -16,12 +16,8 @@ LayerEmitter::LayerEmitter(const CouplingGraph& graph,
       audit_(audit) {
   require(static_cast<std::int32_t>(initial_.size()) == state.n(),
           "LayerEmitter: mapping size must equal QftState size");
-  // CPHASE angles depend only on the logical gap; resolve them once.
-  const std::int32_t n = state.n();
-  angle_by_gap_.resize(static_cast<std::size_t>(n > 0 ? n : 1), 0.0);
-  for (std::int32_t gap = 1; gap < n; ++gap) {
-    angle_by_gap_[static_cast<std::size_t>(gap)] = qft_angle(0, gap);
-  }
+  // CPHASE angles depend only on the logical gap; register them once.
+  gap_slot_ = add_qft_angles(circuit_, state.n());
   if (audit_ != nullptr) {
     audit_ready_.assign(static_cast<std::size_t>(graph.num_qubits()), 0);
   }

@@ -92,10 +92,10 @@ class LayerEmitter {
     const auto lo = std::min(la, lb), hi = std::max(la, lb);
     // The paper writes G(target, control) with the larger index as control;
     // the unitary is symmetric, so record (lo, hi) canonically on physical
-    // wires. The angle depends only on the gap; the table keeps qft_angle's
-    // libm scaling out of the per-gate path.
-    circuit_.append(
-        Gate::cphase(a, b, angle_by_gap_[static_cast<std::size_t>(hi - lo)]));
+    // wires. The angle depends only on the gap: the constructor registered
+    // one angle per gap, so the gate just points at its slot.
+    circuit_.append_slot(GateKind::kCPhase, a, b,
+                         gap_slot_ + static_cast<std::uint32_t>(hi - lo));
     state_.mark_pair(la, lb);
     mark_busy(a);
     mark_busy(b);
@@ -176,7 +176,7 @@ class LayerEmitter {
   std::vector<PhysicalQubit> initial_;
   MappingTracker tracker_;
   QftState& state_;
-  std::vector<double> angle_by_gap_;      // qft_angle(0, gap)
+  std::uint32_t gap_slot_ = 0;  // circuit_ slot of gap 0; gap g at + g
   std::vector<std::int64_t> busy_layer_;  // last layer index that used node p
   std::int64_t layer_ = 0;
   std::int64_t gates_emitted_ = 0;

@@ -116,14 +116,7 @@ MappedCircuit map_qft_heavy_hex_device(const HeavyHexDevice& dev,
   }
 
   MappedCircuit out;
-  out.circuit = Circuit(dev.graph.num_qubits());
-  out.circuit.reserve(canonical.circuit.size());
-  for (const Gate& g : canonical.circuit) {
-    Gate hw = g;
-    hw.q0 = relabel[g.q0];
-    if (g.two_qubit()) hw.q1 = relabel[g.q1];
-    out.circuit.append(hw);
-  }
+  out.circuit = canonical.circuit.relabeled(dev.graph.num_qubits(), relabel);
   out.initial.reserve(canonical.initial.size());
   for (PhysicalQubit p : canonical.initial) out.initial.push_back(relabel[p]);
   for (PhysicalQubit p : canonical.final_mapping) {

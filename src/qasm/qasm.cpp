@@ -187,9 +187,13 @@ struct Parser {
 
   /// pi/x and pi*x can overflow to infinity even though both operands
   /// parsed (pi*1e308, pi/1e-308); a non-finite angle would emit as
-  /// "rz(inf)" and break the parse->emit->reparse round trip.
+  /// "rz(inf)" and break the parse->emit->reparse round trip. They can also
+  /// underflow to a subnormal (pi/1.7e308), whose emitted literal std::stod
+  /// rejects as out of range, so those are out of range here too.
   double finite_angle(double value) {
-    if (!std::isfinite(value)) fail("angle expression out of range");
+    if (!std::isfinite(value) || std::fpclassify(value) == FP_SUBNORMAL) {
+      fail("angle expression out of range");
+    }
     return value;
   }
 

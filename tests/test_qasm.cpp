@@ -187,6 +187,19 @@ TEST(QasmRegression, PiExpressionOverflowIsPositionedError) {
       "OPENQASM 2.0;\nqreg q[2];\nrz(-pi/1e-308) q[0];\n", 3);
 }
 
+// Regression: pi/1.7e308 underflowed to a subnormal angle that parsed but
+// emitted as a literal the reparse rejected, breaking the round trip.
+TEST(QasmRegression, PiExpressionUnderflowIsPositionedError) {
+  expect_positioned_rejection(
+      "OPENQASM 2.0;\nqreg q[2];\ncu1(pi/1.7e308) q[0],q[1];\n", 3);
+  expect_positioned_rejection(
+      "OPENQASM 2.0;\nqreg q[2];\nrz(-pi/1.7e308) q[0];\n", 3);
+  // The smallest normal results still parse and round-trip.
+  const Circuit c =
+      from_qasm("OPENQASM 2.0;\nqreg q[2];\ncu1(pi/1e308) q[0],q[1];\n");
+  EXPECT_EQ(from_qasm(to_qasm(c)).fingerprint(), c.fingerprint());
+}
+
 // Regression: a lone sign used to escape an unpositioned "stoll"/"stod"
 // invalid_argument instead of the documented parse error.
 TEST(QasmRegression, LoneSignIsPositionedError) {
