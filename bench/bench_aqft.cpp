@@ -101,7 +101,9 @@ BENCHMARK(fidelity_route_fidelity)
 
 void aqft_prune(benchmark::State& state) {
   const auto k = static_cast<std::int32_t>(state.range(0));
-  const MappedCircuit full = map_qft("lnn", 16).mapped;
+  MapOptions opts;
+  opts.keep_circuit = true;
+  const MappedCircuit full = map_qft("lnn", 16, opts).mapped;
   Circuit pruned;
   for (auto _ : state) {
     pruned = prune_small_rotations(full.circuit, k);

@@ -329,8 +329,9 @@ void BM_ScheduleModel(benchmark::State& state, const std::string& engine,
 
 // Device-scale end-to-end: map + fused verify through the pipeline (the path
 // the scale smoke asserts interactive). Unlike the families above, there is
-// no cached circuit — each iteration pays emission, page faults and the fused
-// audit, exactly as a fresh `map_qft` call does. items = gates produced.
+// no cached circuit — each iteration pays emission and the fused audit,
+// exactly as a fresh `map_qft` call does; like it, the run is a summary and
+// stores no gates. items = gates emitted.
 void BM_MapFused(benchmark::State& state, const std::string& engine, int n) {
   std::int64_t gates = 0;
   for (auto _ : state) {

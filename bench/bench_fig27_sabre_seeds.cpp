@@ -39,8 +39,10 @@ int main() {
   // Contrast: the analytical engines behind the pipeline are seed-free —
   // ten runs, one distinct circuit.
   std::set<std::string> ours;
+  MapOptions keep;
+  keep.keep_circuit = true;
   for (int run = 0; run < 10; ++run) {
-    ours.insert(map_qft("sycamore", 4).mapped.circuit.to_string());
+    ours.insert(map_qft("sycamore", 4, keep).mapped.circuit.to_string());
   }
   std::printf("our `sycamore` engine, 10 runs: %zu distinct circuit(s)\n",
               ours.size());

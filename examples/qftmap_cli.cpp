@@ -16,7 +16,11 @@
 // Every engine is selected by its registry name (`--list` enumerates them);
 // the pipeline builds the native coupling graph, maps, and verifies with the
 // static checker. Small instances are additionally simulated. Output can be
-// written as OpenQASM 2.0.
+// written as OpenQASM 2.0. The report is printed from the checker's counts,
+// so the gates themselves are kept (MapOptions::keep_circuit) only for
+// `--out`, simulation, `--aqft` and `--cnot-basis`; a device-scale run
+// without them stores no gate list (QFT-8192 on the lattice: 14 MB peak,
+// not 0.8 GB).
 //
 // `--device FILE.json` loads a calibrated device description
 // (arch/device_model.hpp documents the JSON schema): the routed engines map
@@ -404,6 +408,13 @@ int main(int argc, char** argv) {
   if (input_path.empty() ? n <= 0 : n > 0) return usage(argv[0]);
 
   try {
+    // Instances this small are checked against the state-vector simulator.
+    constexpr std::int32_t kSimulateMaxQubits = 14;
+    opts.keep_circuit =
+        !out_path.empty() || aqft > 0 || cnot_basis ||
+        (input_path.empty() &&
+         MapperPipeline::global().at(arch).native_size(n) <=
+             kSimulateMaxQubits);
     Circuit input;  // parsed --input circuit; empty on the QFT path
     MapResult result;
     if (!input_path.empty()) {
@@ -425,7 +436,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     double sim_err = -1.0;
-    if (result.mapped.num_physical() <= 14) {
+    if (result.mapped.num_physical() <= kSimulateMaxQubits) {
       sim_err = mapped_equivalence_error(
           result.mapped, 4, 0x51ab5,
           input_path.empty() ? nullptr : &input);

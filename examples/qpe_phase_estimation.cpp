@@ -22,7 +22,9 @@ int main() {
   // Hardware inverse QFT for the counting register: map the forward kernel
   // analytically (and verified, via the pipeline), then invert it (reverse +
   // conjugate) — linear depth and hardware compliance carry over verbatim.
-  const MappedCircuit fwd = map_qft("heavy_hex", counting).mapped;
+  MapOptions opts;
+  opts.keep_circuit = true;
+  const MappedCircuit fwd = map_qft("heavy_hex", counting, opts).mapped;
   const MappedCircuit inv_qft = inverse_mapped(fwd);
 
   // State preparation on the physical register. The eigenstate qubit of QPE

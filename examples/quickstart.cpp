@@ -22,8 +22,12 @@ int main() {
   //    statically verify the result (every CPHASE on a coupled pair, every
   //    logical pair exactly once with the QFT angle, relaxed ordering
   //    windows respected, final mapping consistent). The mapper is
-  //    analytical: no search, no recompilation across sizes.
-  const MapResult result = map_qft("sycamore", n);
+  //    analytical: no search, no recompilation across sizes. By default
+  //    the result is a summary (verdict, depth, counts, mappings); this
+  //    walkthrough simulates and exports the gates, so it keeps them.
+  MapOptions opts;
+  opts.keep_circuit = true;
+  const MapResult result = map_qft("sycamore", n, opts);
   if (!result.check.ok) {
     std::printf("verification FAILED: %s\n", result.check.error.c_str());
     return 1;

@@ -63,7 +63,9 @@ int main() {
   }
 
   // Hardware QFT on an 8-qubit line (LNN base case of the framework).
-  const MappedCircuit qft = map_qft("lnn", n).mapped;
+  MapOptions opts;
+  opts.keep_circuit = true;
+  const MappedCircuit qft = map_qft("lnn", n, opts).mapped;
 
   StateVector sv(n);
   auto& amps = sv.amplitudes();

@@ -12,12 +12,13 @@ LayerEmitter::LayerEmitter(const CouplingGraph& graph,
       initial_(std::move(initial_mapping)),
       tracker_(initial_, graph.num_qubits()),
       state_(state),
+      store_(audit == nullptr || audit->keep_circuit),
       busy_layer_(graph.num_qubits(), -1),
       audit_(audit) {
   require(static_cast<std::int32_t>(initial_.size()) == state.n(),
           "LayerEmitter: mapping size must equal QftState size");
   // CPHASE angles depend only on the logical gap; register them once.
-  gap_slot_ = add_qft_angles(circuit_, state.n());
+  if (store_) gap_slot_ = add_qft_angles(circuit_, state.n());
   if (audit_ != nullptr) {
     audit_ready_.assign(static_cast<std::size_t>(graph.num_qubits()), 0);
   }

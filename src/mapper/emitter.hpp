@@ -15,6 +15,10 @@
 // pairs/Hs in the relaxed window, tracked final mapping), so the pipeline
 // can skip its separate post-hoc verification stream entirely: the audited
 // QftCheckResult is bit-identical to check_qft_mapping on the same circuit.
+// An audit with keep_circuit off also drops the gate store (summary mode):
+// every rule, window and audit step still runs, but nothing is appended, so
+// the emitter holds its window state (QftState's n²/16-byte pair bitset,
+// 4.3 MB at n = 8281) instead of 12 bytes per gate (0.8 GB there).
 //
 // The try_* methods are header-inline deliberately: they are the per-gate
 // hot path (tens of millions of calls at device scale), and cross-TU calls
@@ -66,9 +70,9 @@ class LayerEmitter {
 
   /// Pre-sizes the gate store (growth reallocation of a multi-GB gate vector
   /// dominated device-scale emission). Mappers with a swap-count estimate
-  /// call it once up front.
+  /// call it once up front; a summary-mode emitter has no store to size.
   void reserve_gates(std::int64_t gate_count) {
-    if (gate_count > 0) {
+    if (store_ && gate_count > 0) {
       circuit_.reserve(static_cast<std::size_t>(gate_count));
     }
   }
@@ -94,8 +98,10 @@ class LayerEmitter {
     // the unitary is symmetric, so record (lo, hi) canonically on physical
     // wires. The angle depends only on the gap: the constructor registered
     // one angle per gap, so the gate just points at its slot.
-    circuit_.append_slot(GateKind::kCPhase, a, b,
-                         gap_slot_ + static_cast<std::uint32_t>(hi - lo));
+    if (store_) {
+      circuit_.append_slot(GateKind::kCPhase, a, b,
+                           gap_slot_ + static_cast<std::uint32_t>(hi - lo));
+    }
     state_.mark_pair(la, lb);
     mark_busy(a);
     mark_busy(b);
@@ -116,7 +122,7 @@ class LayerEmitter {
     if (busy(p)) return false;
     const LogicalQubit l = tracker_.logical_at(p);
     if (l == kInvalidQubit || !state_.can_self(l)) return false;
-    circuit_.append(Gate::h(p));
+    if (store_) circuit_.append(Gate::h(p));
     state_.mark_self(l);
     mark_busy(p);
     ++gates_emitted_;
@@ -132,7 +138,7 @@ class LayerEmitter {
   bool try_swap(const EdgeHandle& e) {
     const PhysicalQubit a = e.a, b = e.b;
     if (busy(a) || busy(b)) return false;
-    circuit_.append(Gate::swap(a, b));
+    if (store_) circuit_.append(Gate::swap(a, b));
     tracker_.apply_swap(a, b);
     mark_busy(a);
     mark_busy(b);
@@ -153,7 +159,8 @@ class LayerEmitter {
   std::int64_t layer_index() const { return layer_; }
 
   /// Finalizes into a MappedCircuit (emitter unusable afterwards). With an
-  /// audit armed, also renders the fused verification verdict.
+  /// audit armed, also renders the fused verification verdict. In summary
+  /// mode the circuit has the graph's register and no gates.
   MappedCircuit finish() &&;
 
  private:
@@ -176,6 +183,7 @@ class LayerEmitter {
   std::vector<PhysicalQubit> initial_;
   MappingTracker tracker_;
   QftState& state_;
+  bool store_ = true;           // false: summary mode, no gate is appended
   std::uint32_t gap_slot_ = 0;  // circuit_ slot of gap 0; gap g at + g
   std::vector<std::int64_t> busy_layer_;  // last layer index that used node p
   std::int64_t layer_ = 0;

@@ -176,11 +176,15 @@ MapResult MapperPipeline::run(const std::string& engine_name, std::int32_t n,
   live.ensure("map");
 
   // Fused mode: hand the engine an audit sink so the emitter verifies while
-  // it emits. Engines that bypass LayerEmitter (the routed baselines) simply
-  // never engage it, and the streaming fallback below picks up the check.
+  // it emits, storing gates only when the caller asked for the circuit.
+  // Engines that bypass LayerEmitter (the routed baselines) simply never
+  // engage it, and the streaming fallback below picks up the check.
   verify::EmitAudit audit;
   const bool fused = opts.verify && opts.verify_mode == VerifyMode::kFused;
-  if (fused) audit.model = resolved_latency(engine, opts, result.graph);
+  if (fused) {
+    audit.model = resolved_latency(engine, opts, result.graph);
+    audit.keep_circuit = opts.keep_circuit;
+  }
 
   timed_map_stage(result, opts, [&](MapOptions map_opts) {
     if (fused) map_opts.audit = &audit;

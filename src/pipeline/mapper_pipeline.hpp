@@ -2,7 +2,8 @@
 // string-keyed facade, in the spirit of percy's interchangeable SAT engines.
 //
 //   MapResult r = map_qft("sycamore", 36);
-//   r.mapped     — the hardware circuit + initial/final mappings
+//   r.mapped     — initial/final mappings, plus the hardware circuit when
+//                  MapOptions::keep_circuit asks for it
 //   r.graph      — the native coupling graph the circuit targets
 //   r.check      — static-checker verdict, depth (native latency) and counts
 //   r.timings    — wall-clock split between mapping and verification
@@ -93,6 +94,17 @@ struct MapOptions {
   /// QftCheckResults; they differ only in when the work happens.
   VerifyMode verify_mode = VerifyMode::kFused;
 
+  /// Keep the mapped gate list in MapResult::mapped.circuit. Off by default:
+  /// when the fused audit runs (verify on, kFused, a structured engine), the
+  /// emitter stores no gates and the result is a summary — check, fidelity,
+  /// mappings and an empty circuit over the right register; the run holds
+  /// the emitter's window state (n²/16 bytes) instead of 12 bytes per gate,
+  /// and the result itself is O(n). Set it when the gates themselves are needed (QASM
+  /// export, simulation, circuit transforms). Routed engines, kStream,
+  /// kReplay and verify=false runs keep their circuits either way: their
+  /// check reads it. Part of the result-cache key.
+  bool keep_circuit = false;
+
   /// Fused-verification plumbing: the pipeline installs its EmitAudit here
   /// before calling MapperEngine::map, and the structured engines hand it to
   /// their LayerEmitter. Callers invoking engines directly may install their
@@ -149,6 +161,8 @@ struct MapResult {
   std::string engine;
   std::int32_t requested_n = 0;  // size the caller asked for
   std::int32_t n = 0;            // engine-native size actually mapped
+  /// Mappings and register always; the gates when MapOptions::keep_circuit
+  /// is set or the run had no fused audit to summarize into.
   MappedCircuit mapped;
   CouplingGraph graph;   // coupling graph `mapped` is valid on
   QftCheckResult check;  // empty unless MapOptions::verify

@@ -199,9 +199,10 @@ void process(ServiceCore& core, const std::shared_ptr<JobState>& job) {
         if (auto cached = core.cache.get(key)) {
           // Entries are stored pre-normalized (zero timings, cache_hit set,
           // requested_n = native n), so the common exact-native hit shares
-          // the immutable cached object with no copy at all — the hit path
-          // must not pay a deep copy of a million-gate circuit. Only a
-          // snapped request needs a copy to echo its own requested size.
+          // the immutable cached object with no copy at all. Only a snapped
+          // request needs a copy to echo its own requested size; for a
+          // summary entry (the default) that copy is O(n), since the entry
+          // holds no gates.
           std::shared_ptr<const MapResult> served;
           if (cached->requested_n == req.n) {
             served = std::move(cached);
@@ -259,6 +260,8 @@ void process(ServiceCore& core, const std::shared_ptr<JobState>& job) {
         std::make_shared<MapResult>(std::move(result));
     if (!key.empty()) {
       // One normalization copy per insertion buys copy-free hits forever.
+      // Summaries hold no gates, so it copies the graph and the mappings;
+      // only keep_circuit and routed results pay for a gate list.
       auto normalized = std::make_shared<MapResult>(*shared);
       normalized->requested_n = normalized->n;
       normalized->timings = MapTimings{};

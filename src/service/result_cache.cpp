@@ -117,6 +117,13 @@ std::string ResultCache::key(const std::string& engine, std::int32_t native_n,
   k += static_cast<char>('0' + static_cast<int>(opts.verify_mode));
   k += "|obj=";
   k += static_cast<char>('0' + static_cast<int>(opts.objective));
+  if (opts.keep_circuit) {
+    // Only the circuit-bearing variant carries the segment, so summary keys
+    // (the default) are the keys of files written before the option existed
+    // and those entries keep serving; a circuit request never hits a
+    // gate-free summary.
+    k += "|kc=1";
+  }
   if (opts.device != nullptr) {
     // Content fingerprint, not identity: two devices with the same shape but
     // different calibration produce different keys; relabeling (name only)
@@ -223,7 +230,10 @@ ResultCache::Stats ResultCache::stats() const {
 // angles make that round trip exact, so a reloaded entry is bit-identical
 // to the one saved. Cached entries are stored pre-normalized (requested_n ==
 // n, zero timings, cache_hit), so only the identity fields, the graph, the
-// check report and the circuit need to survive.
+// check report and the circuit need to survive. A summary entry's payload
+// is the mapping header and register with no gates; entries that carry
+// gates (kept circuits, and every entry of files written before summaries
+// existed) load the same way.
 
 namespace {
 

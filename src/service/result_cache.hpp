@@ -40,6 +40,8 @@ class ResultCache {
   /// pass their circuit: its content fingerprint joins the key, so two
   /// different circuits of the same size and options occupy distinct
   /// entries, and a QFT request never aliases a general one.
+  /// MapOptions::keep_circuit joins the key too: a summary entry holds no
+  /// gates and must never answer a request that asked for them.
   static std::string key(const std::string& engine, std::int32_t native_n,
                          const MapOptions& opts,
                          const Circuit* circuit = nullptr);

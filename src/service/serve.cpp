@@ -620,7 +620,9 @@ void ServeMetrics::record_result(const JobResult& out) {
   queue_latency.record(out.queue_seconds);
   if (out.result != nullptr) {
     const MapTimings& t = out.result->timings;
-    map_latency.record(t.map_seconds);
+    // A cache hit did no mapping and carries zeroed timings; recording its
+    // 0 s would pin the quantiles to the lowest bucket.
+    if (!out.result->cache_hit) map_latency.record(t.map_seconds);
     sat_conflicts.fetch_add(t.sat.conflicts, std::memory_order_relaxed);
     sat_decisions.fetch_add(t.sat.decisions, std::memory_order_relaxed);
     sat_restarts.fetch_add(t.sat.restarts, std::memory_order_relaxed);

@@ -170,7 +170,7 @@ struct ServeMetrics {
   std::atomic<std::uint64_t> sat_restarts{0};
   std::atomic<std::uint64_t> sat_solve_calls{0};
 
-  net::LatencyHistogram map_latency;    // MapResult::timings.map_seconds
+  net::LatencyHistogram map_latency;    // map_seconds of cache misses
   net::LatencyHistogram queue_latency;  // JobResult::queue_seconds
 
   /// Folds one finished job into the histograms and solver totals.

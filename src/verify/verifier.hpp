@@ -72,8 +72,15 @@ QftCheckResult verify_mapped(Verifier& v, const MappedCircuit& mc);
 /// audited (structured emitters do; routed baselines that bypass
 /// LayerEmitter leave it false and the pipeline falls back to a streaming
 /// Verifier pass), and `result` carries the verdict.
+///
+/// `keep_circuit` false puts the emitter in summary mode: it still tracks
+/// the mapping, the windows, the depth and the counts, but stores no gates,
+/// so the MappedCircuit it returns has the right register and mappings and
+/// an empty gate list. The pipeline sets it from MapOptions::keep_circuit;
+/// callers that install their own audit keep the circuit by default.
 struct EmitAudit {
   LatencyModel model;
+  bool keep_circuit = true;
   bool engaged = false;
   QftCheckResult result;
 };

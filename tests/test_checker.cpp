@@ -221,7 +221,9 @@ class CheckerMutation : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
     engine_ = GetParam();
-    result_ = map_qft(engine_, 16);
+    MapOptions keep;
+    keep.keep_circuit = true;  // the mutations edit the gate list
+    result_ = map_qft(engine_, 16, keep);
     ASSERT_TRUE(result_.check.ok) << result_.check.error;
     latency_ = MapperPipeline::global().at(engine_).latency(result_.graph);
   }

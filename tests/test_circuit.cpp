@@ -255,7 +255,8 @@ TEST(PackedStore, FingerprintGoldens) {
   k.append(Gate::rz(1, 0.0));
   EXPECT_EQ(k.fingerprint(), 0xf7fbaaf7a7b78d62ULL);
 
-  const MapOptions o;
+  MapOptions o;
+  o.keep_circuit = true;
   EXPECT_EQ(map_qft("lnn", 16, o).mapped.circuit.fingerprint(),
             0x32889c3dab5328faULL);
   EXPECT_EQ(map_qft("lattice", 36, o).mapped.circuit.fingerprint(),

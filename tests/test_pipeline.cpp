@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -236,6 +237,7 @@ TEST(PipelineVerify, FusedStreamAndReplayModesAreBitIdentical) {
   const auto& pipeline = MapperPipeline::global();
   for (const auto& name : pipeline.engine_names()) {
     MapOptions base;
+    base.keep_circuit = true;  // the circuits are compared too
     base.sabre.trials = 1;
     base.satmap.time_budget_seconds = 60.0;
     const std::int32_t n = name == "satmap" ? 4 : (name == "sabre" ? 9 : 16);
@@ -266,6 +268,7 @@ TEST(PipelineVerify, FusedModeMatchesReplayAcrossSizes) {
       if (name == "satmap") continue;
       if (name == "sabre" && n > 64) continue;  // routing time, not coverage
       MapOptions fused;
+      fused.keep_circuit = true;
       fused.sabre.trials = 1;
       fused.verify_mode = VerifyMode::kFused;
       MapOptions replay = fused;
@@ -276,6 +279,129 @@ TEST(PipelineVerify, FusedModeMatchesReplayAcrossSizes) {
                              name + " n=" + std::to_string(n));
     }
   }
+}
+
+// ------------------------------------------------- summary vs kept circuit --
+
+struct SummaryCase {
+  const char* engine;
+  const char* label;
+  MapOptions opts;
+};
+
+std::vector<SummaryCase> summary_cases() {
+  std::vector<SummaryCase> cases;
+  for (const char* engine : {"lnn", "heavy_hex", "heavy_hex_device",
+                             "sycamore", "lattice", "grid", "lnn_baseline"}) {
+    cases.push_back({engine, "default", MapOptions{}});
+  }
+  MapOptions strict;
+  strict.strict_ie = true;
+  for (const char* engine : {"sycamore", "lattice", "grid"}) {
+    cases.push_back({engine, "strict_ie", strict});
+  }
+  MapOptions synced;
+  synced.lattice_phase_offset = 0;
+  MapOptions no_tus;
+  no_tus.transversal_unit_swap = false;
+  MapOptions both = synced;
+  both.transversal_unit_swap = false;
+  cases.push_back({"lattice", "phase_offset0", synced});
+  cases.push_back({"lattice", "no_transversal_swap", no_tus});
+  cases.push_back({"lattice", "offset0_no_transversal", both});
+  return cases;
+}
+
+TEST(PipelineSummary, SummaryRunMatchesKeptCircuitOnEveryStructuredEngine) {
+  // The default run stores no gates; asking for the circuit must change
+  // nothing else. Both runs must agree on the whole check, the fidelity and
+  // the mappings, and streaming verification of the kept circuit must give
+  // the summary's verdict — the fused audit is not trusted on its own word.
+  const auto& pipeline = MapperPipeline::global();
+  for (const SummaryCase& c : summary_cases()) {
+    for (const std::int32_t n : {1, 2, 5, 16, 64, 257}) {
+      const std::string label = std::string(c.engine) + "/" + c.label +
+                                " n=" + std::to_string(n);
+      ASSERT_FALSE(c.opts.keep_circuit) << label;
+      MapOptions keep = c.opts;
+      keep.keep_circuit = true;
+      const MapResult s = pipeline.run(c.engine, n, c.opts);
+      const MapResult k = pipeline.run(c.engine, n, keep);
+      ASSERT_TRUE(s.check.ok) << label << ": " << s.check.error;
+      EXPECT_EQ(s.check.error, k.check.error) << label;
+      EXPECT_EQ(s.check.ok, k.check.ok) << label;
+      EXPECT_EQ(s.check.depth, k.check.depth) << label;
+      EXPECT_EQ(s.check.counts.h, k.check.counts.h) << label;
+      EXPECT_EQ(s.check.counts.x, k.check.counts.x) << label;
+      EXPECT_EQ(s.check.counts.rz, k.check.counts.rz) << label;
+      EXPECT_EQ(s.check.counts.cphase, k.check.counts.cphase) << label;
+      EXPECT_EQ(s.check.counts.swap, k.check.counts.swap) << label;
+      EXPECT_EQ(s.check.counts.cnot, k.check.counts.cnot) << label;
+      // Bit for bit: both come from the same counts and depth.
+      EXPECT_EQ(std::memcmp(&s.log10_fidelity, &k.log10_fidelity,
+                            sizeof(double)),
+                0)
+          << label << ": " << s.log10_fidelity << " vs " << k.log10_fidelity;
+      EXPECT_EQ(s.mapped.initial, k.mapped.initial) << label;
+      EXPECT_EQ(s.mapped.final_mapping, k.mapped.final_mapping) << label;
+
+      EXPECT_EQ(s.mapped.circuit.size(), 0u) << label;
+      EXPECT_EQ(s.mapped.num_physical(), s.graph.num_qubits()) << label;
+      EXPECT_EQ(s.mapped.num_physical(), k.mapped.num_physical()) << label;
+      EXPECT_EQ(static_cast<std::int64_t>(k.mapped.circuit.size()),
+                k.check.counts.total())
+          << label;
+
+      const LatencyModel model = pipeline.at(c.engine).latency_model(k.graph);
+      const QftCheckResult streamed =
+          check_qft_mapping(k.mapped, k.graph, model);
+      EXPECT_EQ(streamed.ok, s.check.ok) << label << ": " << streamed.error;
+      EXPECT_EQ(streamed.error, s.check.error) << label;
+      EXPECT_EQ(streamed.depth, s.check.depth) << label;
+      EXPECT_EQ(streamed.counts.total(), s.check.counts.total()) << label;
+      EXPECT_EQ(streamed.counts.swap, s.check.counts.swap) << label;
+      EXPECT_EQ(streamed.counts.cphase, s.check.counts.cphase) << label;
+      EXPECT_EQ(streamed.counts.h, s.check.counts.h) << label;
+    }
+  }
+}
+
+TEST(PipelineSummary, CircuitIsKeptWhereTheCheckReadsIt) {
+  // Routed engines, kStream, kReplay and verify=false runs have no fused
+  // audit to summarize into: their circuits stay whatever keep_circuit says.
+  const auto& pipeline = MapperPipeline::global();
+  MapOptions sabre;
+  sabre.sabre.trials = 1;
+  EXPECT_GT(pipeline.run("sabre", 6, sabre).mapped.circuit.size(), 0u);
+  for (const VerifyMode mode : {VerifyMode::kStream, VerifyMode::kReplay}) {
+    MapOptions o;
+    o.verify_mode = mode;
+    const MapResult r = pipeline.run("lattice", 16, o);
+    ASSERT_TRUE(r.check.ok) << r.check.error;
+    EXPECT_EQ(static_cast<std::int64_t>(r.mapped.circuit.size()),
+              r.check.counts.total());
+  }
+  MapOptions unverified;
+  unverified.verify = false;
+  EXPECT_GT(pipeline.run("lnn", 8, unverified).mapped.circuit.size(), 0u);
+}
+
+TEST(PipelineSummary, DirectEngineCallersKeepTheirCircuitByDefault) {
+  // An audit installed by hand keeps the gate store unless it opts out.
+  verify::EmitAudit audit;
+  const MappedCircuit kept = map_qft_lnn(8, &audit);
+  ASSERT_TRUE(audit.engaged && audit.result.ok) << audit.result.error;
+  EXPECT_EQ(static_cast<std::int64_t>(kept.circuit.size()),
+            audit.result.counts.total());
+
+  verify::EmitAudit summary;
+  summary.keep_circuit = false;
+  const MappedCircuit bare = map_qft_lnn(8, &summary);
+  ASSERT_TRUE(summary.engaged && summary.result.ok) << summary.result.error;
+  EXPECT_EQ(bare.circuit.size(), 0u);
+  EXPECT_EQ(bare.num_physical(), 8);
+  EXPECT_EQ(bare.final_mapping, kept.final_mapping);
+  EXPECT_EQ(summary.result.depth, audit.result.depth);
 }
 
 TEST(PipelineOptions, SatmapBudgetExhaustionThrowsRuntimeError) {
@@ -337,9 +463,11 @@ TEST(PipelineBatch, ResultsComeBackInRequestOrder) {
 }
 
 TEST(PipelineBatch, ParallelMatchesSerialForAnalyticalEngines) {
+  MapOptions keep;
+  keep.keep_circuit = true;
   std::vector<BatchRequest> reqs;
   for (std::int32_t n : {4, 9, 16, 25, 36}) {
-    reqs.push_back({"lattice", n, MapOptions{}});
+    reqs.push_back({"lattice", n, keep});
   }
   const auto serial = map_qft_batch(reqs, 1);
   const auto parallel = map_qft_batch(reqs, 4);
@@ -379,9 +507,11 @@ TEST(PipelineBatch, EmptyBatchIsFine) {
 TEST(PipelineDeterminism, StructuredEnginesAreSeedFree) {
   // Analytical mappers must emit byte-identical circuits run to run — the
   // consistency guarantee the paper contrasts with SABRE (Fig. 27).
+  MapOptions keep;
+  keep.keep_circuit = true;
   for (const char* engine : {"lnn", "heavy_hex", "sycamore", "lattice"}) {
-    const MapResult a = map_qft(engine, 16);
-    const MapResult b = map_qft(engine, 16);
+    const MapResult a = map_qft(engine, 16, keep);
+    const MapResult b = map_qft(engine, 16, keep);
     EXPECT_EQ(a.mapped.circuit.to_string(), b.mapped.circuit.to_string())
         << engine;
     EXPECT_EQ(a.mapped.initial, b.mapped.initial) << engine;

@@ -170,6 +170,7 @@ class EngineEquivalence : public ::testing::TestWithParam<const char*> {};
 TEST_P(EngineEquivalence, SmallSizesMatchReferenceQft) {
   const std::string engine = GetParam();
   MapOptions opts;
+  opts.keep_circuit = true;  // simulated below
   opts.sabre.trials = 2;
   opts.satmap.time_budget_seconds = 60.0;
   // SATMAP's search space explodes with size (Table 1); stay tiny there.

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -238,34 +240,43 @@ TEST(Service, PriorityOrdersTheQueueFifoWithinLevel) {
 // ------------------------------------------------------------------- cache --
 
 TEST(Service, CacheHitIsBitIdenticalWithZeroMapTime) {
-  MappingService service{service_options(2)};
-  const JobResult cold = service.submit({"lattice", 10, MapOptions{}}).wait();
-  ASSERT_TRUE(cold.ok()) << cold.error;
-  EXPECT_FALSE(cold.result->cache_hit);
+  // Summary (default) and kept-circuit requests are separate entries; each
+  // hit must equal a fresh run of its own kind.
+  for (const bool keep : {false, true}) {
+    SCOPED_TRACE(keep ? "keep_circuit" : "summary");
+    MapOptions opts;
+    opts.keep_circuit = keep;
+    MappingService service{service_options(2)};
+    const JobResult cold = service.submit({"lattice", 10, opts}).wait();
+    ASSERT_TRUE(cold.ok()) << cold.error;
+    EXPECT_FALSE(cold.result->cache_hit);
 
-  const JobResult warm = service.submit({"lattice", 10, MapOptions{}}).wait();
-  ASSERT_TRUE(warm.ok()) << warm.error;
-  EXPECT_TRUE(warm.result->cache_hit);
-  EXPECT_EQ(warm.result->timings.map_seconds, 0.0);
-  EXPECT_EQ(warm.result->timings.check_seconds, 0.0);
+    const JobResult warm = service.submit({"lattice", 10, opts}).wait();
+    ASSERT_TRUE(warm.ok()) << warm.error;
+    EXPECT_TRUE(warm.result->cache_hit);
+    EXPECT_EQ(warm.result->timings.map_seconds, 0.0);
+    EXPECT_EQ(warm.result->timings.check_seconds, 0.0);
 
-  // Bit-identical to a fresh pipeline.run on every payload field.
-  const MapResult fresh = MapperPipeline::global().run("lattice", 10);
-  const MapResult& hit = *warm.result;
-  EXPECT_EQ(hit.engine, fresh.engine);
-  EXPECT_EQ(hit.requested_n, fresh.requested_n);
-  EXPECT_EQ(hit.n, fresh.n);
-  EXPECT_EQ(hit.mapped.circuit.to_string(), fresh.mapped.circuit.to_string());
-  EXPECT_EQ(hit.mapped.initial, fresh.mapped.initial);
-  EXPECT_EQ(hit.mapped.final_mapping, fresh.mapped.final_mapping);
-  EXPECT_EQ(hit.graph.name(), fresh.graph.name());
-  EXPECT_EQ(hit.graph.num_qubits(), fresh.graph.num_qubits());
-  EXPECT_EQ(hit.check.ok, fresh.check.ok);
-  EXPECT_EQ(hit.check.depth, fresh.check.depth);
-  EXPECT_EQ(hit.check.counts.h, fresh.check.counts.h);
-  EXPECT_EQ(hit.check.counts.cphase, fresh.check.counts.cphase);
-  EXPECT_EQ(hit.check.counts.swap, fresh.check.counts.swap);
-  EXPECT_EQ(hit.check.counts.cnot, fresh.check.counts.cnot);
+    // Bit-identical to a fresh pipeline.run on every payload field.
+    const MapResult fresh = MapperPipeline::global().run("lattice", 10, opts);
+    const MapResult& hit = *warm.result;
+    EXPECT_EQ(hit.mapped.circuit.empty(), !keep);
+    EXPECT_EQ(hit.engine, fresh.engine);
+    EXPECT_EQ(hit.requested_n, fresh.requested_n);
+    EXPECT_EQ(hit.n, fresh.n);
+    EXPECT_EQ(hit.mapped.circuit.to_string(),
+              fresh.mapped.circuit.to_string());
+    EXPECT_EQ(hit.mapped.initial, fresh.mapped.initial);
+    EXPECT_EQ(hit.mapped.final_mapping, fresh.mapped.final_mapping);
+    EXPECT_EQ(hit.graph.name(), fresh.graph.name());
+    EXPECT_EQ(hit.graph.num_qubits(), fresh.graph.num_qubits());
+    EXPECT_EQ(hit.check.ok, fresh.check.ok);
+    EXPECT_EQ(hit.check.depth, fresh.check.depth);
+    EXPECT_EQ(hit.check.counts.h, fresh.check.counts.h);
+    EXPECT_EQ(hit.check.counts.cphase, fresh.check.counts.cphase);
+    EXPECT_EQ(hit.check.counts.swap, fresh.check.counts.swap);
+    EXPECT_EQ(hit.check.counts.cnot, fresh.check.counts.cnot);
+  }
 }
 
 TEST(Service, CacheKeyUsesNativeSizeButEchoesRequestedSize) {
@@ -377,9 +388,12 @@ TEST(ResultCache, GlobalCapacityBoundHoldsWhenShardsDoNotDivide) {
 
 TEST(ResultCache, SaveLoadRoundTripServesBitIdenticalHits) {
   MappingService first{service_options(2)};
-  const JobResult lat = first.submit({"lattice", 9, MapOptions{}}).wait();
+  MapOptions keep;
+  keep.keep_circuit = true;
+  const JobResult lat = first.submit({"lattice", 9, keep}).wait();
   const JobResult line = first.submit({"lnn", 6, MapOptions{}}).wait();
   ASSERT_TRUE(lat.ok() && line.ok()) << lat.error << line.error;
+  ASSERT_FALSE(lat.result->mapped.circuit.empty());
 
   std::stringstream blob;
   ASSERT_TRUE(first.cache().save(blob));
@@ -388,7 +402,7 @@ TEST(ResultCache, SaveLoadRoundTripServesBitIdenticalHits) {
   std::string error;
   ASSERT_TRUE(second.cache().load(blob, &error)) << error;
 
-  const JobResult warm = second.submit({"lattice", 9, MapOptions{}}).wait();
+  const JobResult warm = second.submit({"lattice", 9, keep}).wait();
   ASSERT_TRUE(warm.ok()) << warm.error;
   EXPECT_TRUE(warm.result->cache_hit) << "restored entries must hit";
   // The QASM codec is the payload authority: round-tripped gates, angles and
@@ -407,6 +421,10 @@ TEST(ResultCache, SaveLoadRoundTripServesBitIdenticalHits) {
   const JobResult warm2 = second.submit({"lnn", 6, MapOptions{}}).wait();
   ASSERT_TRUE(warm2.ok()) << warm2.error;
   EXPECT_TRUE(warm2.result->cache_hit);
+  // The summary entry restores gate-free, with its register and mappings.
+  EXPECT_TRUE(warm2.result->mapped.circuit.empty());
+  EXPECT_EQ(to_qasm(warm2.result->mapped), to_qasm(line.result->mapped));
+  EXPECT_EQ(warm2.result->mapped.num_physical(), 6);
 
   // Garbage fails with a message, never an exception.
   std::istringstream garbage("not a cache file\n");
@@ -446,6 +464,18 @@ TEST(ResultCache, KeyCoversEveryResultShapingKnob) {
     MapOptions o;
     o.verify_mode = VerifyMode::kReplay;
     EXPECT_NE(ResultCache::key("lattice", 16, o), k);
+  }
+  {
+    // A gate-free summary must never answer a request for the circuit.
+    MapOptions o;
+    o.keep_circuit = true;
+    EXPECT_NE(ResultCache::key("lattice", 16, o), k);
+    EXPECT_NE(ResultCache::key("sabre", 16, o),
+              ResultCache::key("sabre", 16, base));
+    Circuit logical(2);
+    logical.append(Gate::h(0));
+    EXPECT_NE(ResultCache::key("sabre", 2, o, &logical),
+              ResultCache::key("sabre", 2, base, &logical));
   }
   // Every SATMAP field that shapes output must fragment the key — a stale
   // hit here would silently return wrong-backend results.
@@ -533,8 +563,10 @@ TEST(ResultCache, KeyCoversEveryResultShapingKnob) {
 TEST(ServiceBatch, SecondIdenticalBatchIsServedFromTheCache) {
   // map_qft_batch rides MappingService::shared(): repeating a deterministic
   // batch must come back entirely from the cache, bit-identically.
+  MapOptions keep;
+  keep.keep_circuit = true;  // the circuits are compared below
   std::vector<BatchRequest> reqs;
-  for (std::int32_t n : {4, 9, 16}) reqs.push_back({"lattice", n, MapOptions{}});
+  for (std::int32_t n : {4, 9, 16}) reqs.push_back({"lattice", n, keep});
   const auto cold = map_qft_batch(reqs, 2);
   const auto warm = map_qft_batch(reqs, 2);
   ASSERT_EQ(cold.size(), warm.size());
@@ -1022,6 +1054,132 @@ TEST(Serve, MetricsCountDeviceLoadsAndCacheExpiry) {
             std::string::npos)
       << doc;
   EXPECT_NE(doc.find("\"expired\":0"), std::string::npos) << doc;
+}
+
+TEST(Serve, MapLatencyRecordsMissesOnly) {
+  // Cache hits did no mapping; their zeroed map_seconds must not enter the
+  // histogram. M distinct requests miss, H repeats hit: the count is M.
+  MappingService service{service_options(1)};
+  ServeMetrics metrics;
+  const std::vector<std::int32_t> sizes = {4, 9, 16};
+  std::uint64_t hits = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const std::int32_t n : sizes) {
+      const JobResult out = service.submit({"lattice", n, MapOptions{}}).wait();
+      ASSERT_TRUE(out.ok()) << out.error;
+      if (out.result->cache_hit) ++hits;
+      metrics.record_result(out);
+    }
+  }
+  EXPECT_EQ(hits, 2 * sizes.size());
+  EXPECT_EQ(metrics.map_latency.count(), sizes.size());
+  EXPECT_EQ(metrics.queue_latency.count(), 3 * sizes.size());
+  EXPECT_GT(metrics.map_latency.quantile(0.5), 0.0);
+}
+
+namespace {
+
+/// A serve response without the fields that vary between a fresh run and a
+/// hit: cache_hit and the timings, which the formatter writes last.
+std::string without_timing(const std::string& response) {
+  return response.substr(0, response.find(",\"cache_hit\":"));
+}
+
+std::vector<std::string> serve_lines(MappingService& service,
+                                     const std::string& requests) {
+  std::istringstream in(requests);
+  std::ostringstream out;
+  EXPECT_EQ(run_serve_loop(in, out, service), 0);
+  std::vector<std::string> lines;
+  std::istringstream reread(out.str());
+  for (std::string line; std::getline(reread, line);) lines.push_back(line);
+  return lines;
+}
+
+constexpr const char* kRestartRequests =
+    "{\"id\":1,\"engine\":\"lattice\",\"n\":16}\n"
+    "{\"id\":2,\"engine\":\"lnn\",\"n\":6}\n";
+
+}  // namespace
+
+TEST(ResultCache, SummaryCacheFileServesARestartedServerByteIdentically) {
+  const std::string path = ::testing::TempDir() + "summary_cache.qfc";
+  std::remove(path.c_str());
+  std::vector<std::string> fresh;
+  {
+    MappingService first{service_options(1)};
+    fresh = serve_lines(first, kRestartRequests);
+    std::string error;
+    ASSERT_TRUE(first.cache().save_file(path, &error)) << error;
+  }
+  ASSERT_EQ(fresh.size(), 2u);
+
+  // The payload of a summary entry is the mapping header and the register,
+  // with no gate lines.
+  std::ifstream file(path);
+  std::ostringstream text;
+  text << file.rdbuf();
+  const std::string saved = text.str();
+  EXPECT_NE(saved.find("// initial mapping (logical->physical): 0->0"),
+            std::string::npos);
+  EXPECT_NE(saved.find("// final mapping (logical->physical):"),
+            std::string::npos);
+  EXPECT_NE(saved.find("qreg q[16];"), std::string::npos);
+  EXPECT_EQ(saved.find("swap q["), std::string::npos) << saved;
+  EXPECT_EQ(saved.find("cu1("), std::string::npos) << saved;
+
+  MappingService restarted{service_options(1)};
+  std::ifstream in(path);
+  std::string error;
+  ASSERT_TRUE(restarted.cache().load(in, &error)) << error;
+  EXPECT_EQ(restarted.cache_stats().entries, 2u);
+  const std::vector<std::string> warm =
+      serve_lines(restarted, kRestartRequests);
+  ASSERT_EQ(warm.size(), 2u);
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    EXPECT_NE(fresh[i].find("\"cache_hit\":false"), std::string::npos);
+    EXPECT_NE(warm[i].find("\"cache_hit\":true"), std::string::npos)
+        << warm[i];
+    EXPECT_EQ(without_timing(warm[i]), without_timing(fresh[i]));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ResultCache, FilesHoldingCircuitsStillLoadAndServe) {
+  // tests/data/cache_with_circuits.qfc was written by `qftmap --serve
+  // --cache-file` before summaries were the default (same two requests):
+  // its entries carry every gate under what are now the summary keys. They
+  // must load and answer the same bytes a fresh summary run gives.
+  std::ifstream in(std::string(QFTO_SOURCE_DIR) +
+                   "/tests/data/cache_with_circuits.qfc");
+  ASSERT_TRUE(in) << "fixture missing";
+  MappingService restarted{service_options(1)};
+  std::string error;
+  ASSERT_TRUE(restarted.cache().load(in, &error)) << error;
+  EXPECT_TRUE(error.empty()) << error;
+  ASSERT_EQ(restarted.cache_stats().entries, 2u);
+
+  MappingService cold{service_options(1)};
+  const std::vector<std::string> fresh = serve_lines(cold, kRestartRequests);
+  const std::vector<std::string> warm =
+      serve_lines(restarted, kRestartRequests);
+  ASSERT_EQ(fresh.size(), 2u);
+  ASSERT_EQ(warm.size(), 2u);
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    EXPECT_NE(warm[i].find("\"cache_hit\":true"), std::string::npos)
+        << warm[i];
+    EXPECT_EQ(without_timing(warm[i]), without_timing(fresh[i]));
+  }
+
+  // The stored gates still verify: the entry is a complete kept circuit.
+  const JobResult hit = restarted.submit({"lattice", 16, MapOptions{}}).wait();
+  ASSERT_TRUE(hit.ok() && hit.result->cache_hit);
+  const QftCheckResult recheck =
+      check_qft_mapping(hit.result->mapped, hit.result->graph,
+                        LatencyModel::lattice(hit.result->graph));
+  ASSERT_TRUE(recheck.ok) << recheck.error;
+  EXPECT_EQ(recheck.depth, hit.result->check.depth);
+  EXPECT_EQ(recheck.counts.total(), hit.result->check.counts.total());
 }
 
 TEST(Service, CacheTtlOptionAgesServedEntries) {

@@ -372,7 +372,8 @@ TEST(Transport, MetricsMatchCacheStatsOverBothProtocols) {
       ",\"capacity\":" + std::to_string(stats.capacity) + "}";
   EXPECT_NE(inband.find(cache_doc), std::string::npos) << inband;
   EXPECT_NE(inband.find("\"queue_depth\":"), std::string::npos);
-  EXPECT_NE(inband.find("\"map_seconds\":{\"count\":2"), std::string::npos)
+  // The hit did no mapping, so only the miss enters the map histogram.
+  EXPECT_NE(inband.find("\"map_seconds\":{\"count\":1"), std::string::npos)
       << inband;
 
   // Same document over HTTP.
