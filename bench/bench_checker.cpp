@@ -10,7 +10,6 @@
 //   verify_replay      — the in-library legacy algorithm
 //                        (check_qft_mapping_replay) on the O(1) graph.
 //   verify_incremental — the streaming IncrementalQftChecker fused pass.
-//   schedule_fn        — schedule_asap through a std::function latency.
 //   schedule_model     — schedule_asap devirtualized through LatencyModel.
 //
 // Throughput is reported as items/sec where an item is one gate.
@@ -20,6 +19,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -131,10 +131,12 @@ struct SeedTracker {
   }
 };
 
+/// The seed's per-gate latency callback.
+using SeedLatency = std::function<Cycle(const Gate&)>;
+
 /// The seed scheduler: same ASAP arithmetic, but per-gate latency through a
 /// std::function and per-gate out-of-line two_qubit calls.
-Cycle seed_circuit_depth(const Circuit& c,
-                         const std::function<Cycle(const Gate&)>& latency) {
+Cycle seed_circuit_depth(const Circuit& c, const SeedLatency& latency) {
   std::vector<Cycle> start(c.size(), 0);  // the Schedule the seed built
   std::vector<Cycle> ready(c.num_qubits(), 0);
   Cycle depth = 0;
@@ -155,7 +157,7 @@ Cycle seed_circuit_depth(const Circuit& c,
 /// Pre-PR check_qft_mapping, verbatim except that graph queries go through
 /// SeedGraphQueries. Fails abort the benchmark, so error strings are terse.
 QftCheckResult seed_check(const MappedCircuit& mc, const SeedGraphQueries& g,
-                          const LatencyFn& latency) {
+                          const SeedLatency& latency) {
   QftCheckResult bad;
   const std::int32_t n = mc.num_logical();
   if (mc.circuit.num_qubits() != g.n) return bad;
@@ -218,9 +220,8 @@ QftCheckResult seed_check(const MappedCircuit& mc, const SeedGraphQueries& g,
 struct Case {
   MapResult result;
   LatencyModel model;  // bound to result.graph
-  LatencyFn fn;        // the same model behind std::function
   std::unique_ptr<SeedGraphQueries> seed;
-  LatencyFn seed_fn;   // pre-PR latency callback over the seed queries
+  SeedLatency seed_fn;  // pre-PR latency callback over the seed queries
   std::int64_t gates = 0;
 };
 
@@ -237,7 +238,6 @@ Case& get_case(const std::string& engine, int n) {
   opts.verify = false;  // mapping setup only; verification is the benchmark
   c->result = MapperPipeline::global().run(engine, n, opts);
   c->model = MapperPipeline::global().at(engine).latency_model(c->result.graph);
-  c->fn = LatencyFn(c->model);
   c->seed = std::make_unique<SeedGraphQueries>(c->result.graph);
   if (engine == "lattice") {
     const SeedGraphQueries* sq = c->seed.get();
@@ -289,7 +289,7 @@ void BM_VerifyReplay(benchmark::State& state, const std::string& engine,
   Case& c = get_case(engine, n);
   for (auto _ : state) {
     const auto r = check_qft_mapping_replay(c.result.mapped, c.result.graph,
-                                            c.fn);
+                                            c.model);
     if (!r.ok) state.SkipWithError(r.error.c_str());
     benchmark::DoNotOptimize(r.depth);
   }
@@ -304,15 +304,6 @@ void BM_VerifyIncremental(benchmark::State& state, const std::string& engine,
         check_qft_mapping(c.result.mapped, c.result.graph, c.model);
     if (!r.ok) state.SkipWithError(r.error.c_str());
     benchmark::DoNotOptimize(r.depth);
-  }
-  state.SetItemsProcessed(state.iterations() * c.gates);
-}
-
-void BM_ScheduleFn(benchmark::State& state, const std::string& engine, int n) {
-  Case& c = get_case(engine, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        schedule_asap(c.result.mapped.circuit, c.fn).depth);
   }
   state.SetItemsProcessed(state.iterations() * c.gates);
 }
@@ -349,7 +340,6 @@ const int register_all = [] {
       {"verify_seed", BM_VerifySeed},
       {"verify_replay", BM_VerifyReplay},
       {"verify_incremental", BM_VerifyIncremental},
-      {"schedule_fn", BM_ScheduleFn},
       {"schedule_model", BM_ScheduleModel},
   };
   auto add = [](const std::string& name, Fn fn, const std::string& engine,

@@ -7,8 +7,8 @@
 // LatencyModel is the concrete form the scheduler/verifier hot path consumes:
 // a (gate kind × link type) cycle table resolved once per graph. Evaluating a
 // gate is a table load — plus one O(1) link_type probe only for kinds whose
-// cost actually varies by link — with no std::function indirection. The
-// LatencyFn free functions below remain as thin adapters for existing code.
+// cost actually varies by link. It is the only latency type: custom costs go
+// through set_cost, ad-hoc callables through schedule_asap_with.
 #pragma once
 
 #include "arch/coupling_graph.hpp"
@@ -97,20 +97,17 @@ class LatencyModel {
 };
 
 /// Devirtualized scheduling: the model inlines into the ASAP core.
-inline Schedule schedule_asap(const Circuit& c, const LatencyModel& model) {
+/// The default model is unit latency (the paper's NISQ step count).
+inline Schedule schedule_asap(const Circuit& c,
+                              const LatencyModel& model = LatencyModel()) {
   return schedule_asap_with(c,
                             [&model](const Gate& g) { return model.cycles(g); });
 }
 
-inline Cycle circuit_depth(const Circuit& c, const LatencyModel& model) {
+/// Convenience: makespan only.
+inline Cycle circuit_depth(const Circuit& c,
+                           const LatencyModel& model = LatencyModel()) {
   return schedule_asap(c, model).depth;
 }
-
-/// Every gate costs one cycle — LatencyFn adapter over LatencyModel::nisq().
-LatencyFn nisq_latency();
-
-/// Lattice-surgery weighted latency as a LatencyFn. The returned callable
-/// holds a reference to `g`; the graph must outlive it.
-LatencyFn lattice_latency(const CouplingGraph& g);
 
 }  // namespace qfto

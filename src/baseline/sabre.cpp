@@ -7,8 +7,8 @@
 #include <stdexcept>
 
 #include "arch/device_model.hpp"
+#include "arch/latency_model.hpp"
 #include "circuit/dag.hpp"
-#include "circuit/scheduler.hpp"
 #include "circuit/stats.hpp"
 #include "common/prng.hpp"
 #include "verify/fidelity.hpp"

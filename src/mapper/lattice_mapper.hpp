@@ -4,9 +4,9 @@
 // the fast links; inter-unit QFT-IE runs the offset travel path (the bottom
 // unit starts one step late — Fig. 16 / Appendix 7, equal-position links);
 // unit SWAP is one transversal layer of vertical SWAPs (3 CNOTs each, depth
-// 6). Depth is linear in N under the heterogeneous latency model of §2.3;
-// the paper engineers 5N + O(1), our closed-loop realization achieves the
-// same law with a larger constant (quantified in EXPERIMENTS.md).
+// 6). Depth is charged under the heterogeneous latency model of §2.3; the
+// paper engineers 5N + O(1), our closed-loop realization measures 11.8N at
+// N = 100 rising slowly to 12.8N at N = 4096 (EXPERIMENTS.md).
 #pragma once
 
 #include "circuit/mapped_circuit.hpp"

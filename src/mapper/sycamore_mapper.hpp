@@ -2,8 +2,8 @@
 // intra-unit QFT via the LNN engine, inter-unit QFT-IE via the synced travel
 // path (relaxed ordering), adjacent units exchanged with the 3-step unit
 // SWAP, all orchestrated by the unit-level divide-and-conquer (Fig. 14).
-// Depth 7N + O(sqrt(N)) per the paper; our closed-loop realization achieves
-// the same linear law with a comparable constant (see EXPERIMENTS.md).
+// Depth 7N + O(sqrt(N)) per the paper; our closed-loop realization is
+// linear with depth/N ≈ 8.0 from N = 576 to 4096 (see EXPERIMENTS.md).
 #pragma once
 
 #include "circuit/mapped_circuit.hpp"

@@ -68,10 +68,10 @@ const MapperEngine& MapperPipeline::at(const std::string& name) const {
 namespace {
 
 /// Serving checks shared by both entry points: between stages the run
-/// honours the cooperative cancel token and the per-run deadline. Analytical
-/// engines finish a stage in microseconds-to-milliseconds, so stage
-/// granularity bounds cancel latency; SATMAP additionally polls the token
-/// mid-solve.
+/// honours the cooperative cancel token and the per-run deadline. Only
+/// SATMAP polls the token mid-stage; the analytical engines do not, so their
+/// cancel latency is one whole map stage, which grows as O(n²) gates (an lnn
+/// n = 20000 map took ~20 s on a 4-core 2 GHz VM).
 class LiveGuard {
  public:
   explicit LiveGuard(const MapOptions& opts)
@@ -175,39 +175,33 @@ MapResult MapperPipeline::run(const std::string& engine_name, std::int32_t n,
   result.graph = engine.build_graph(result.n, opts);
   live.ensure("map");
 
-  // Fused mode: hand the engine an audit sink so the emitter verifies while
-  // it emits, storing gates only when the caller asked for the circuit.
-  // Engines that bypass LayerEmitter (the routed baselines) simply never
-  // engage it, and the streaming fallback below picks up the check.
+  // Hand the engine an audit sink so the emitter verifies while it emits,
+  // storing gates only when the caller asked for the circuit. Engines that
+  // bypass LayerEmitter (the routed baselines) never engage it, and the
+  // streaming check below picks up the verdict.
   verify::EmitAudit audit;
-  const bool fused = opts.verify && opts.verify_mode == VerifyMode::kFused;
-  if (fused) {
+  if (opts.verify) {
     audit.model = resolved_latency(engine, opts, result.graph);
     audit.keep_circuit = opts.keep_circuit;
   }
 
   timed_map_stage(result, opts, [&](MapOptions map_opts) {
-    if (fused) map_opts.audit = &audit;
+    if (opts.verify) map_opts.audit = &audit;
     return engine.map(result.n, result.graph, map_opts);
   });
   live.ensure("verify");
 
   if (opts.verify) {
-    if (fused && audit.engaged) {
+    if (audit.engaged) {
       // The verdict was computed gate-by-gate inside the map stage; there is
       // no separate pass to time.
       result.check = std::move(audit.result);
     } else {
+      // One pass (adjacency/ordering/angle checks, ASAP depth, gate counts)
+      // through IncrementalQftChecker.
       WallTimer timer;
-      const LatencyModel latency = resolved_latency(engine, opts, result.graph);
-      // Streaming path: one fused pass (adjacency/ordering/angle checks,
-      // ASAP depth, gate counts) through IncrementalQftChecker. The replay
-      // path is the pre-rewrite algorithm, kept for differential testing.
-      result.check =
-          opts.verify_mode == VerifyMode::kReplay
-              ? check_qft_mapping_replay(result.mapped, result.graph,
-                                         LatencyFn(latency))
-              : check_qft_mapping(result.mapped, result.graph, latency);
+      result.check = check_qft_mapping(result.mapped, result.graph,
+                                       audit.model);
       result.timings.check_seconds = timer.seconds();
     }
     fill_fidelity(result, opts);

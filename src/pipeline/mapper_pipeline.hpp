@@ -44,20 +44,6 @@ enum class Objective : std::uint8_t {
   kFidelity = 1,
 };
 
-/// How MapResult::check is produced (MapOptions::verify_mode).
-enum class VerifyMode : std::uint8_t {
-  /// Fused: the emitter audits as it emits (verify::EmitAudit) and the
-  /// separate verification pass disappears (check_seconds ≈ 0). Engines
-  /// that bypass LayerEmitter (`sabre`, `satmap`) fall back to kStream.
-  kFused = 0,
-  /// One streaming pass through IncrementalQftChecker after mapping.
-  kStream = 1,
-  /// Legacy post-hoc replay (check_qft_mapping_replay): separate check,
-  /// schedule and count walks. Kept selectable so the three paths stay
-  /// comparable in tests and benchmarks — results are bit-identical.
-  kReplay = 2,
-};
-
 struct MapOptions {
   // Structured-mapper ablation knobs (§3.3 strict IE, §6 lattice variants).
   bool strict_ie = false;
@@ -88,21 +74,21 @@ struct MapOptions {
 
   /// Run the static checker and fill MapResult::check. On by default; turn
   /// off only for timing-only runs where verification is done elsewhere.
+  /// Structured engines verify through the fused audit (verify::EmitAudit)
+  /// as they emit; engines that bypass LayerEmitter (`sabre`, `satmap`) are
+  /// streamed through check_qft_mapping after mapping. Both give the same
+  /// QftCheckResult.
   bool verify = true;
 
-  /// Verification strategy (see VerifyMode). All modes produce bit-identical
-  /// QftCheckResults; they differ only in when the work happens.
-  VerifyMode verify_mode = VerifyMode::kFused;
-
   /// Keep the mapped gate list in MapResult::mapped.circuit. Off by default:
-  /// when the fused audit runs (verify on, kFused, a structured engine), the
-  /// emitter stores no gates and the result is a summary — check, fidelity,
-  /// mappings and an empty circuit over the right register; the run holds
-  /// the emitter's window state (n²/16 bytes) instead of 12 bytes per gate,
-  /// and the result itself is O(n). Set it when the gates themselves are needed (QASM
-  /// export, simulation, circuit transforms). Routed engines, kStream,
-  /// kReplay and verify=false runs keep their circuits either way: their
-  /// check reads it. Part of the result-cache key.
+  /// when the fused audit runs (verify on, a structured engine), the emitter
+  /// stores no gates and the result is a summary — check, fidelity, mappings
+  /// and an empty circuit over the right register; the run holds the
+  /// emitter's window state (n²/16 bytes) instead of 12 bytes per gate, and
+  /// the result itself is O(n). Set it when the gates themselves are needed
+  /// (QASM export, simulation, circuit transforms). Routed engines and
+  /// verify=false runs keep their circuits either way. Part of the
+  /// result-cache key.
   bool keep_circuit = false;
 
   /// Fused-verification plumbing: the pipeline installs its EmitAudit here
@@ -162,7 +148,9 @@ struct MapResult {
   std::int32_t requested_n = 0;  // size the caller asked for
   std::int32_t n = 0;            // engine-native size actually mapped
   /// Mappings and register always; the gates when MapOptions::keep_circuit
-  /// is set or the run had no fused audit to summarize into.
+  /// is set or the run had no fused audit to summarize into. A cache hit
+  /// reloaded from a cache file carries them only when keep_circuit is set
+  /// (ResultCache::load).
   MappedCircuit mapped;
   CouplingGraph graph;   // coupling graph `mapped` is valid on
   QftCheckResult check;  // empty unless MapOptions::verify
@@ -210,17 +198,10 @@ class MapperEngine {
                                     const MapOptions& opts) const = 0;
 
   /// Latency model depth is charged under on this backend. The model may
-  /// reference `g`; the graph must outlive it. This is what the pipeline's
-  /// verify/schedule hot path consumes (no std::function indirection).
+  /// reference `g`; the graph must outlive it.
   virtual LatencyModel latency_model(const CouplingGraph& g) const {
     (void)g;
     return LatencyModel::unit();
-  }
-
-  /// Convenience adapter for callers that want a callable; derived from
-  /// latency_model(), so engines only override that.
-  LatencyFn latency(const CouplingGraph& g) const {
-    return LatencyFn(latency_model(g));
   }
 
   /// Maps QFT(n) onto `g` (n native, g = build_graph(n, opts)). Throws on
@@ -275,10 +256,11 @@ class MapperPipeline {
   /// fit the circuit), route the supplied circuit onto it, and verify with
   /// the general checker (verify/circuit_checker.hpp) under the engine's
   /// latency model. Unlike run(), verification is per-entry-point: QFT
-  /// requests keep the streaming IncrementalQftChecker, arbitrary circuits
-  /// are replayed through the MappingTracker-based matcher. requested_n and
-  /// n both report the circuit's qubit count (a circuit is never resized);
-  /// MapResult::graph carries the possibly-larger physical register.
+  /// requests use the fused audit or IncrementalQftChecker, arbitrary
+  /// circuits are matched through the MappingTracker-based checker.
+  /// requested_n and n both report the circuit's qubit count (a circuit is
+  /// never resized); MapResult::graph carries the possibly-larger physical
+  /// register.
   MapResult run_circuit(const std::string& engine, const Circuit& logical,
                         const MapOptions& opts = {}) const;
 

@@ -114,7 +114,9 @@ std::string ResultCache::key(const std::string& engine, std::int32_t native_n,
   k += opts.satmap.core_guided ? '1' : '0';
   k += "|verify=";
   k += opts.verify ? '1' : '0';
-  k += static_cast<char>('0' + static_cast<int>(opts.verify_mode));
+  // A constant: existing cache files were written with a verification-mode
+  // digit here (always 0 in production), and their keys must keep hitting.
+  k += '0';
   k += "|obj=";
   k += static_cast<char>('0' + static_cast<int>(opts.objective));
   if (opts.keep_circuit) {
@@ -231,9 +233,10 @@ ResultCache::Stats ResultCache::stats() const {
 // to the one saved. Cached entries are stored pre-normalized (requested_n ==
 // n, zero timings, cache_hit), so only the identity fields, the graph, the
 // check report and the circuit need to survive. A summary entry's payload
-// is the mapping header and register with no gates; entries that carry
-// gates (kept circuits, and every entry of files written before summaries
-// existed) load the same way.
+// is the mapping header and register with no gates. Only keep_circuit
+// entries keep their gates on load. Every other entry is reduced to a
+// summary, including entries of files written before summaries existed and
+// entries of routed engines, which keep their circuit in memory.
 
 namespace {
 
@@ -435,6 +438,9 @@ bool parse_cache_entry(std::istream& in, ParsedCacheEntry& out,
     result->mapped = mapped_from_qasm(scratch);
   } catch (const std::invalid_argument& e) {
     return fail(std::string("bad qasm payload: ") + e.what());
+  }
+  if (key.find("|kc=1") == std::string::npos) {
+    result->mapped.circuit = Circuit(result->mapped.circuit.num_qubits());
   }
   result->graph = std::move(graph);
   result->check.ok = check_ok != 0;

@@ -105,7 +105,10 @@ class ResultCache {
   /// is quarantined (counted in Stats::load_quarantined and summarized in
   /// `error`, which can be set even when load returns true) and reading
   /// resynchronizes at the next "entry" line — one corrupt record must not
-  /// discard an entire warmed cache.
+  /// discard an entire warmed cache. Entries whose key lacks the
+  /// keep_circuit segment ("|kc=1") load as summaries: their gate list is
+  /// dropped, so files written before summaries existed cost O(n) per entry
+  /// in memory and on the next save.
   bool load(std::istream& in, std::string* error = nullptr);
 
  private:

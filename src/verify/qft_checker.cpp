@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "circuit/qft_spec.hpp"
-#include "circuit/scheduler.hpp"
 #include "verify/mapping_tracker.hpp"
 
 namespace qfto {
@@ -59,13 +58,6 @@ IncrementalQftChecker::IncrementalQftChecker(
     row_base_[static_cast<std::size_t>(lo)] = base;
     base += static_cast<std::uint64_t>(n_ - 1 - lo);
   }
-}
-
-IncrementalQftChecker::IncrementalQftChecker(
-    const std::vector<PhysicalQubit>& initial, const CouplingGraph& g,
-    const LatencyFn& latency)
-    : IncrementalQftChecker(initial, g) {
-  fn_ = &latency;
 }
 
 bool IncrementalQftChecker::fail(std::string msg) {
@@ -164,8 +156,7 @@ bool IncrementalQftChecker::push_impl(const Gate& gate) {
   // inline so verification never needs a second walk over the circuit.
   Cycle t = ready_[gate.q0];
   if (two) t = std::max(t, ready_[gate.q1]);
-  const Cycle dur =
-      fn_ != nullptr ? (*fn_)(gate) : model_.cycles_on_link(gate.kind, link);
+  const Cycle dur = model_.cycles_on_link(gate.kind, link);
   ready_[gate.q0] = t + dur;
   if (two) ready_[gate.q1] = t + dur;
   depth_ = std::max(depth_, t + dur);
@@ -238,21 +229,11 @@ QftCheckResult IncrementalQftChecker::finish(
   return r;
 }
 
-// ------------------------------------------------------ streaming drivers --
+// ------------------------------------------------------- streaming driver --
 
 namespace {
 
-template <typename Checker>
-QftCheckResult run_stream(Checker& checker, const MappedCircuit& mc) {
-  // Circuit::append validated every wire index, and the driver checked the
-  // circuit against the graph's qubit count, so the trusted path applies.
-  for (const Gate& gate : mc.circuit) {
-    if (!checker.push_trusted(gate)) break;
-  }
-  return checker.finish(mc.final_mapping);
-}
-
-/// Header validation shared by every entry point; empty string when sane.
+/// Header validation shared by both checkers; empty string when sane.
 std::string header_error(const MappedCircuit& mc, const CouplingGraph& g) {
   if (mc.circuit.num_qubits() != g.num_qubits()) {
     return "circuit/physical qubit count mismatch";
@@ -274,23 +255,19 @@ QftCheckResult check_qft_mapping(const MappedCircuit& mc,
   std::string err = header_error(mc, g);
   if (!err.empty()) return fail_result(std::move(err));
   IncrementalQftChecker checker(mc.initial, g, latency);
-  return run_stream(checker, mc);
+  // Circuit::append validated every wire index, and header_error checked the
+  // circuit against the graph's qubit count, so the trusted path applies.
+  for (const Gate& gate : mc.circuit) {
+    if (!checker.push_trusted(gate)) break;
+  }
+  return checker.finish(mc.final_mapping);
 }
 
-QftCheckResult check_qft_mapping(const MappedCircuit& mc,
-                                 const CouplingGraph& g,
-                                 const LatencyFn& latency) {
-  std::string err = header_error(mc, g);
-  if (!err.empty()) return fail_result(std::move(err));
-  IncrementalQftChecker checker(mc.initial, g, latency);
-  return run_stream(checker, mc);
-}
-
-// -------------------------------------------------------- replay (legacy) --
+// ---------------------------------------------------- replay (reference) --
 
 QftCheckResult check_qft_mapping_replay(const MappedCircuit& mc,
                                         const CouplingGraph& g,
-                                        const LatencyFn& latency) {
+                                        const LatencyModel& latency) {
   const std::int32_t n = mc.num_logical();
   std::string err = header_error(mc, g);
   if (!err.empty()) return fail_result(std::move(err));

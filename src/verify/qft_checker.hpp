@@ -18,7 +18,7 @@
 // packed triangular bitset (n(n-1)/2 bits ≈ n²/16 bytes instead of the n²
 // bytes the old checker allocated). check_qft_mapping is a thin driver over
 // it; check_qft_mapping_replay preserves the original multi-pass algorithm
-// as a differential oracle for tests and benchmarks.
+// as the reference implementation tests and benchmarks compare against.
 #pragma once
 
 #include <string>
@@ -49,15 +49,6 @@ class IncrementalQftChecker {
   IncrementalQftChecker(const std::vector<PhysicalQubit>& initial,
                         const CouplingGraph& g,
                         LatencyModel latency = LatencyModel());
-
-  /// Compat form for arbitrary latency callbacks; `latency` must outlive
-  /// the checker (the rvalue overload is deleted so a temporary cannot
-  /// dangle). Pays one std::function call per gate — prefer the
-  /// LatencyModel constructor on hot paths.
-  IncrementalQftChecker(const std::vector<PhysicalQubit>& initial,
-                        const CouplingGraph& g, const LatencyFn& latency);
-  IncrementalQftChecker(const std::vector<PhysicalQubit>& initial,
-                        const CouplingGraph& g, LatencyFn&& latency) = delete;
 
   /// Feeds the next gate. Returns false once verification has failed;
   /// subsequent gates are ignored.
@@ -115,7 +106,6 @@ class IncrementalQftChecker {
 
   const CouplingGraph* graph_;
   LatencyModel model_;
-  const LatencyFn* fn_ = nullptr;  // non-null only for the compat constructor
 
   std::int32_t n_ = 0;
   std::int32_t num_physical_ = 0;
@@ -139,23 +129,18 @@ class IncrementalQftChecker {
   std::string error_;
 };
 
-/// Single-pass verification driven by IncrementalQftChecker; the fast path
-/// the pipeline uses.
+/// Single-pass verification driven by IncrementalQftChecker; the path the
+/// pipeline streams through when the fused audit did not engage.
 QftCheckResult check_qft_mapping(const MappedCircuit& mc,
                                  const CouplingGraph& g,
-                                 const LatencyModel& latency);
-
-/// Compat overload for arbitrary latency callbacks.
-QftCheckResult check_qft_mapping(const MappedCircuit& mc,
-                                 const CouplingGraph& g,
-                                 const LatencyFn& latency = unit_latency);
+                                 const LatencyModel& latency = LatencyModel());
 
 /// The pre-rewrite checker: full replay, then separate scheduling and
-/// counting passes over the circuit. Kept as the differential oracle — tests
-/// assert it agrees with the streaming checker bit-for-bit, and
-/// bench_checker measures the rewrite against it.
-QftCheckResult check_qft_mapping_replay(const MappedCircuit& mc,
-                                        const CouplingGraph& g,
-                                        const LatencyFn& latency = unit_latency);
+/// counting passes over the circuit. Kept as the reference implementation —
+/// tests assert it agrees with the streaming checker and the fused audit
+/// bit-for-bit, and bench_checker measures the rewrite against it.
+QftCheckResult check_qft_mapping_replay(
+    const MappedCircuit& mc, const CouplingGraph& g,
+    const LatencyModel& latency = LatencyModel());
 
 }  // namespace qfto

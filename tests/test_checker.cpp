@@ -225,7 +225,8 @@ class CheckerMutation : public ::testing::TestWithParam<const char*> {
     keep.keep_circuit = true;  // the mutations edit the gate list
     result_ = map_qft(engine_, 16, keep);
     ASSERT_TRUE(result_.check.ok) << result_.check.error;
-    latency_ = MapperPipeline::global().at(engine_).latency(result_.graph);
+    latency_ =
+        MapperPipeline::global().at(engine_).latency_model(result_.graph);
   }
 
   const CouplingGraph& graph() const { return result_.graph; }
@@ -281,7 +282,7 @@ class CheckerMutation : public ::testing::TestWithParam<const char*> {
 
   std::string engine_;
   MapResult result_;
-  LatencyFn latency_;
+  LatencyModel latency_;
 };
 
 TEST_P(CheckerMutation, ValidCircuitAcceptedIdenticallyByBothCheckers) {

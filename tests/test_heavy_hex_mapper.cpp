@@ -22,15 +22,18 @@ TEST_P(HeavyHexSweep, CheckerInvariants) {
   EXPECT_EQ(r.counts.h, n);
 }
 
-TEST_P(HeavyHexSweep, LinearDepthBound) {
+TEST_P(HeavyHexSweep, ExactDepthLaw) {
   const int n = GetParam();
   const MappedCircuit mc = map_qft_heavy_hex(n);
   const CouplingGraph g = make_heavy_hex(heavy_hex_layout(n));
   const auto r = check_qft_mapping(mc, g);
   ASSERT_TRUE(r.ok) << r.error;
-  // §4: 5N + O(1) for the one-dangle-per-four configuration; allow slack for
-  // small sizes and our closed-loop constant.
-  EXPECT_LE(r.depth, 6 * n + 24) << "n=" << n;
+  // §4 quotes 5N + O(1) for the one-dangle-per-four configuration; this
+  // construction takes exactly 5N - 9 cycles and 2N²/5 SWAPs at every
+  // native size (N a multiple of five).
+  EXPECT_EQ(r.depth, 5 * n - 9) << "n=" << n;
+  EXPECT_EQ(r.counts.swap, 2 * static_cast<std::int64_t>(n) * n / 5)
+      << "n=" << n;
 }
 
 TEST_P(HeavyHexSweep, DanglingQubitsCaptureSmallestIndices) {

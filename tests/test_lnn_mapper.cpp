@@ -28,15 +28,17 @@ TEST_P(LnnSweep, CheckerInvariants) {
   EXPECT_EQ(r.counts.h, n);
 }
 
-TEST_P(LnnSweep, LinearDepthBound) {
+TEST_P(LnnSweep, ExactDepthLaw) {
   const int n = GetParam();
   const MappedCircuit mc = map_qft_lnn(n);
   const CouplingGraph g = make_line(n);
   const auto r = check_qft_mapping(mc, g);
   ASSERT_TRUE(r.ok) << r.error;
-  // Maslov/Zhang: ~4N cycles. Generous linear bound with a small additive
-  // slack so tiny sizes pass.
-  EXPECT_LE(r.depth, 4 * n + 8) << "n=" << n;
+  // Maslov/Zhang quote ~4N cycles; this construction takes exactly 4N - 4
+  // for N >= 2 (N = 1 is a lone H, depth 1) with one SWAP per logical pair.
+  EXPECT_EQ(r.depth, n == 1 ? 1 : 4 * n - 4) << "n=" << n;
+  EXPECT_EQ(r.counts.swap, static_cast<std::int64_t>(n) * (n - 1) / 2)
+      << "n=" << n;
 }
 
 TEST_P(LnnSweep, SwapCountIsAllPairsCrossings) {
@@ -71,14 +73,14 @@ INSTANTIATE_TEST_SUITE_P(SmallSizes, LnnSim,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
 TEST(Lnn, DepthMatchesKnownConstants) {
-  // Spot-check against the 4N + O(1) law on a large instance.
+  // The 4N - 4 law on a larger instance.
   const int n = 256;
   const MappedCircuit mc = map_qft_lnn(n);
   const CouplingGraph g = make_line(n);
   const auto r = check_qft_mapping(mc, g);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_GE(r.depth, 4 * n - 16);
-  EXPECT_LE(r.depth, 4 * n + 8);
+  EXPECT_EQ(r.depth, 4 * n - 4);
+  EXPECT_EQ(r.counts.swap, n * (n - 1) / 2);
 }
 
 TEST(Lnn, RejectsZeroQubits) {

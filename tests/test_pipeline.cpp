@@ -209,74 +209,65 @@ TEST(PipelineOptions, VerifyOffSkipsTheChecker) {
 
 namespace {
 
-void expect_same_map_result(const MapResult& a, const MapResult& b,
-                            const std::string& label) {
-  ASSERT_TRUE(a.check.ok) << label << ": " << a.check.error;
-  ASSERT_TRUE(b.check.ok) << label << ": " << b.check.error;
-  EXPECT_EQ(a.check.depth, b.check.depth) << label;
-  EXPECT_EQ(a.check.error, b.check.error) << label;
-  EXPECT_EQ(a.check.counts.h, b.check.counts.h) << label;
-  EXPECT_EQ(a.check.counts.cphase, b.check.counts.cphase) << label;
-  EXPECT_EQ(a.check.counts.swap, b.check.counts.swap) << label;
-  EXPECT_EQ(a.check.counts.cnot, b.check.counts.cnot) << label;
-  EXPECT_EQ(a.check.counts.total(), b.check.counts.total()) << label;
-  EXPECT_EQ(a.n, b.n) << label;
-  EXPECT_EQ(a.mapped.circuit.to_string(), b.mapped.circuit.to_string())
+void expect_same_check(const QftCheckResult& a, const QftCheckResult& b,
+                       const std::string& label) {
+  ASSERT_TRUE(a.ok) << label << ": " << a.error;
+  ASSERT_TRUE(b.ok) << label << ": " << b.error;
+  EXPECT_EQ(a.depth, b.depth) << label;
+  EXPECT_EQ(a.error, b.error) << label;
+  EXPECT_EQ(a.counts.h, b.counts.h) << label;
+  EXPECT_EQ(a.counts.x, b.counts.x) << label;
+  EXPECT_EQ(a.counts.rz, b.counts.rz) << label;
+  EXPECT_EQ(a.counts.cphase, b.counts.cphase) << label;
+  EXPECT_EQ(a.counts.swap, b.counts.swap) << label;
+  EXPECT_EQ(a.counts.cnot, b.counts.cnot) << label;
+  EXPECT_EQ(a.counts.total(), b.counts.total()) << label;
+}
+
+/// Runs `name` with the circuit kept, then re-verifies that circuit with the
+/// streaming checker and the replay reference under the engine's latency
+/// model: all three verdicts must agree exactly. The pipeline's own verdict
+/// comes from the fused audit for structured engines and from the streaming
+/// checker for the routed baselines (they bypass LayerEmitter).
+void expect_verdicts_agree(const std::string& name, std::int32_t n,
+                           MapOptions opts) {
+  opts.keep_circuit = true;
+  const auto& pipeline = MapperPipeline::global();
+  const MapResult r = pipeline.run(name, n, opts);
+  const LatencyModel model = pipeline.at(name).latency_model(r.graph);
+  const std::string label = name + " n=" + std::to_string(n);
+  ASSERT_EQ(static_cast<std::int64_t>(r.mapped.circuit.size()),
+            r.check.counts.total())
       << label;
-  EXPECT_EQ(a.mapped.initial, b.mapped.initial) << label;
-  EXPECT_EQ(a.mapped.final_mapping, b.mapped.final_mapping) << label;
+  expect_same_check(r.check, check_qft_mapping(r.mapped, r.graph, model),
+                    label + " pipeline-vs-stream");
+  expect_same_check(r.check,
+                    check_qft_mapping_replay(r.mapped, r.graph, model),
+                    label + " pipeline-vs-replay");
 }
 
 }  // namespace
 
-TEST(PipelineVerify, FusedStreamAndReplayModesAreBitIdentical) {
-  // All three verify modes must agree exactly — same verdict, depth, counts
-  // and circuit — for every registered engine. kFused silently falls back to
-  // streaming for the routed baselines (they bypass LayerEmitter), which this
-  // sweep also exercises.
-  const auto& pipeline = MapperPipeline::global();
-  for (const auto& name : pipeline.engine_names()) {
-    MapOptions base;
-    base.keep_circuit = true;  // the circuits are compared too
-    base.sabre.trials = 1;
-    base.satmap.time_budget_seconds = 60.0;
+TEST(PipelineVerify, FusedStreamAndReplayVerdictsAreBitIdentical) {
+  for (const auto& name : MapperPipeline::global().engine_names()) {
+    MapOptions opts;
+    opts.sabre.trials = 1;
+    opts.satmap.time_budget_seconds = 60.0;
     const std::int32_t n = name == "satmap" ? 4 : (name == "sabre" ? 9 : 16);
-
-    MapOptions fused = base;
-    fused.verify_mode = VerifyMode::kFused;
-    MapOptions streaming = base;
-    streaming.verify_mode = VerifyMode::kStream;
-    MapOptions replay = base;
-    replay.verify_mode = VerifyMode::kReplay;
-
-    const MapResult f = pipeline.run(name, n, fused);
-    const MapResult s = pipeline.run(name, n, streaming);
-    const MapResult r = pipeline.run(name, n, replay);
-    expect_same_map_result(f, s, name + " fused-vs-stream");
-    expect_same_map_result(f, r, name + " fused-vs-replay");
+    expect_verdicts_agree(name, n, opts);
   }
 }
 
-TEST(PipelineVerify, FusedModeMatchesReplayAcrossSizes) {
-  // Acceptance sweep: per-engine bit-identical MapResults between the fused
-  // emitter audit and the pre-redesign replay checker on QFT-{16,64,256}.
-  // SATMAP is skipped (TLE territory at these sizes); SABRE pinned to one
-  // trial stays deterministic.
-  const auto& pipeline = MapperPipeline::global();
+TEST(PipelineVerify, FusedVerdictMatchesReplayAcrossSizes) {
+  // Acceptance sweep on QFT-{16,64,256}. SATMAP is skipped (TLE territory at
+  // these sizes); SABRE pinned to one trial stays deterministic.
   for (const std::int32_t n : {16, 64, 256}) {
-    for (const auto& name : pipeline.engine_names()) {
+    for (const auto& name : MapperPipeline::global().engine_names()) {
       if (name == "satmap") continue;
       if (name == "sabre" && n > 64) continue;  // routing time, not coverage
-      MapOptions fused;
-      fused.keep_circuit = true;
-      fused.sabre.trials = 1;
-      fused.verify_mode = VerifyMode::kFused;
-      MapOptions replay = fused;
-      replay.verify_mode = VerifyMode::kReplay;
-      const MapResult f = pipeline.run(name, n, fused);
-      const MapResult r = pipeline.run(name, n, replay);
-      expect_same_map_result(f, r,
-                             name + " n=" + std::to_string(n));
+      MapOptions opts;
+      opts.sabre.trials = 1;
+      expect_verdicts_agree(name, n, opts);
     }
   }
 }
@@ -367,20 +358,12 @@ TEST(PipelineSummary, SummaryRunMatchesKeptCircuitOnEveryStructuredEngine) {
 }
 
 TEST(PipelineSummary, CircuitIsKeptWhereTheCheckReadsIt) {
-  // Routed engines, kStream, kReplay and verify=false runs have no fused
-  // audit to summarize into: their circuits stay whatever keep_circuit says.
+  // Routed engines and verify=false runs have no fused audit to summarize
+  // into: their circuits are kept whatever keep_circuit says.
   const auto& pipeline = MapperPipeline::global();
   MapOptions sabre;
   sabre.sabre.trials = 1;
   EXPECT_GT(pipeline.run("sabre", 6, sabre).mapped.circuit.size(), 0u);
-  for (const VerifyMode mode : {VerifyMode::kStream, VerifyMode::kReplay}) {
-    MapOptions o;
-    o.verify_mode = mode;
-    const MapResult r = pipeline.run("lattice", 16, o);
-    ASSERT_TRUE(r.check.ok) << r.check.error;
-    EXPECT_EQ(static_cast<std::int64_t>(r.mapped.circuit.size()),
-              r.check.counts.total());
-  }
   MapOptions unverified;
   unverified.verify = false;
   EXPECT_GT(pipeline.run("lnn", 8, unverified).mapped.circuit.size(), 0u);
