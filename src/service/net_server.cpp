@@ -9,6 +9,8 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
+#include <istream>
+#include <ostream>
 
 #include "common/fault.hpp"
 
@@ -47,33 +49,206 @@ bool iequals(const std::string& a, const char* b) {
   return i == a.size() && b[i] == '\0';
 }
 
-}  // namespace
-
 /// One queued response slot: either a JobHandle the writer will wait on, or
 /// a pre-formatted immediate body (parse errors, shed notices, metrics).
-struct NetServer::Pending {
-  enum class Kind { kJob, kImmediate, kParseError, kShed };
-
-  Kind kind = Kind::kImmediate;
+struct Pending {
   std::string id = "null";
-  JobHandle handle;       // kJob
-  std::string immediate;  // everything else
+  JobHandle handle;
+  std::string immediate;
   bool http = false;
-  const char* http_status = "200 OK";
+  const char* http_status = "200 OK";  // used when `http` is set
 };
 
+/// What tells one front-end's session from another's, fixed in code where
+/// the front-end builds it.
+struct Limits {
+  bool sheds = false;            // admission control (and serve.admit.shed)
+  std::size_t max_inflight = 0;  // global submitted-but-unanswered; 0 = none
+  std::size_t max_pending = 0;   // jobs queued in this session; 0 = none
+  std::size_t backlog = 0;       // queue entries at which push() blocks
+};
+
+/// The response pipeline of one request stream — a socket connection or the
+/// stdio pair. The reader thread turns each payload into a queue entry
+/// (make_entry), queues it under back-pressure (push) and finally calls
+/// finish_reading(); one writer thread runs write_loop(), which answers the
+/// entries in request order and, if the client dies, cancels the backlog.
+class Session {
+ public:
+  Session(MappingService& service, ServeMetrics& metrics, Limits limits)
+      : service_(service), metrics_(metrics), limits_(limits) {}
+
+  /// Parse → admit → submit for one request payload.
+  Pending make_entry(std::string_view payload) {
+    metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+    Pending entry;
+    ServeRequest req = parse_serve_request(payload);
+    metrics_.record_request(req);
+    entry.id = req.id;
+    if (!req.ok) {
+      metrics_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+      JobResult rejected;
+      rejected.status = JobStatus::kFailed;
+      rejected.error = req.error;
+      entry.immediate = serve_response_json(req.id, rejected);
+      entry.http_status = "400 Bad Request";
+      return entry;
+    }
+    if (req.metrics) {
+      entry.immediate = metrics_json(service_, metrics_);
+      return entry;
+    }
+    const std::string shed = admission_refusal();
+    if (!shed.empty()) {
+      metrics_.shed.fetch_add(1, std::memory_order_relaxed);
+      entry.immediate = serve_inband_error(req.id, "shed", shed);
+      entry.http_status = "503 Service Unavailable";
+      return entry;
+    }
+    entry.handle = service_.submit(std::move(req.request), req.submit);
+    metrics_.in_flight.fetch_add(1, std::memory_order_relaxed);
+    return entry;
+  }
+
+  /// Queues `entry`, blocking while `backlog` entries wait — a client that
+  /// writes without reading cannot grow the queue without bound. False once
+  /// the client is dead: the entry is dropped and the reader should stop.
+  bool push(Pending entry) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock,
+               [&] { return dead_ || pending_.size() < limits_.backlog; });
+      if (!dead_) {
+        if (entry.handle.valid()) ++jobs_pending_;
+        pending_.push_back(std::move(entry));
+        lock.unlock();
+        cv_.notify_all();
+        return true;
+      }
+    }
+    abandon(entry);  // the writer is gone; nobody will drain this entry
+    return false;
+  }
+
+  void finish_reading() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      reader_done_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Answers queued entries in request order through
+  /// `send(const Pending&, const std::string& body) -> bool` until the
+  /// reader has finished and the queue is empty (returns true) or a send
+  /// fails (returns false, with every queued job cancelled — the pool must
+  /// not grind through work nobody can receive).
+  template <class Send>
+  bool write_loop(const Send& send) {
+    for (;;) {
+      Pending entry;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [&] { return reader_done_ || !pending_.empty(); });
+        if (pending_.empty()) return true;  // drained
+        entry = std::move(pending_.front());
+        pending_.pop_front();
+        if (entry.handle.valid()) {
+          --jobs_pending_;
+          writing_ = entry.handle;  // cancel_all() may flip it while we wait
+        }
+      }
+      cv_.notify_all();  // the reader may be waiting on the backlog bound
+
+      std::string body = std::move(entry.immediate);
+      if (entry.handle.valid()) {
+        const JobResult result = entry.handle.wait();
+        metrics_.record_result(result);
+        metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
+        body = serve_response_json(entry.id, result);
+        std::lock_guard<std::mutex> lock(mutex_);
+        writing_ = JobHandle();
+      }
+      if (!send(entry, body)) break;
+      metrics_.responses.fetch_add(1, std::memory_order_relaxed);
+    }
+    std::deque<Pending> orphans;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      dead_ = true;
+      orphans.swap(pending_);
+      jobs_pending_ = 0;
+    }
+    cv_.notify_all();
+    for (Pending& orphan : orphans) abandon(orphan);
+    return false;
+  }
+
+  /// Drain past its budget: flips the cancel token of every queued job and
+  /// of the one the writer waits on; their answers still go out in order.
+  void cancel_all() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (Pending& entry : pending_) {
+      if (entry.handle.valid()) entry.handle.cancel();
+    }
+    if (writing_.valid()) writing_.cancel();
+  }
+
+ private:
+  /// Why admission control rejects the next job, or "" to admit it. Both
+  /// bounds are advisory point-in-time reads — two racing readers may both
+  /// admit at the edge — which is fine: the bound exists to stop unbounded
+  /// queue growth, not to be an exact semaphore.
+  std::string admission_refusal() {
+    if (!limits_.sheds) return "";
+    if (QFTO_FAULT_POINT("serve.admit.shed")) {
+      return "injected fault: admission rejected; retry later";
+    }
+    if (limits_.max_inflight > 0 &&
+        metrics_.in_flight.load(std::memory_order_relaxed) >=
+            static_cast<std::int64_t>(limits_.max_inflight)) {
+      return "server at max in-flight jobs (" +
+             std::to_string(limits_.max_inflight) + "); retry later";
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (limits_.max_pending > 0 && jobs_pending_ >= limits_.max_pending) {
+      return "connection at max pending requests (" +
+             std::to_string(limits_.max_pending) +
+             "); read responses before sending more";
+    }
+    return "";
+  }
+
+  /// Cancels an entry no writer will answer.
+  void abandon(Pending& entry) {
+    if (entry.handle.valid()) {
+      entry.handle.cancel();
+      metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+
+  MappingService& service_;
+  ServeMetrics& metrics_;
+  const Limits limits_;
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<Pending> pending_;   // response queue, request order
+  std::size_t jobs_pending_ = 0;  // entries in `pending_` that carry a job
+  JobHandle writing_;             // job the writer is currently waiting on
+  bool reader_done_ = false;
+  bool dead_ = false;  // a send failed; the client is abandoned
+};
+
+}  // namespace
+
 struct NetServer::Connection {
-  explicit Connection(Socket s) : sock(std::move(s)) {}
+  Connection(Socket s, MappingService& service, ServeMetrics& metrics,
+             const Limits& limits)
+      : sock(std::move(s)), session(service, metrics, limits) {}
 
   Socket sock;
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Pending> pending;   // response queue, request order
-  std::size_t jobs_pending = 0;  // entries in `pending` that carry a job
-  JobHandle writing;             // job the writer is currently waiting on
-  bool reader_done = false;
-  bool dead = false;  // writer hit a send failure; connection is abandoned
+  Session session;
 
   /// Both threads have exited — the accept loop may join and reap.
   std::atomic<int> exited{0};
@@ -137,6 +312,13 @@ void NetServer::start() {
 }
 
 void NetServer::accept_loop() {
+  // Socket clients are shed past either bound; the reader stalls further
+  // above the per-connection one, so shed notices still queue.
+  Limits limits;
+  limits.sheds = true;
+  limits.max_inflight = options_.max_inflight;
+  limits.max_pending = options_.max_pending_per_conn;
+  limits.backlog = options_.max_pending_per_conn + 64;
   while (!stop_.load(std::memory_order_relaxed)) {
     Socket sock = listener_.accept_connection(50, wake_pipe_[0]);
     {
@@ -145,14 +327,24 @@ void NetServer::accept_loop() {
     }
     if (!sock.valid()) continue;  // poll timeout — re-check the stop flag
     sock.set_send_timeout_ms(options_.send_timeout_ms);
-    auto conn = std::make_unique<Connection>(std::move(sock));
+    auto conn = std::make_unique<Connection>(std::move(sock), *service_,
+                                             metrics_, limits);
     Connection* c = conn.get();
     {
       std::lock_guard<std::mutex> lock(conns_mutex_);
       conns_.push_back(std::move(conn));
     }
     c->reader = std::thread([this, c] { serve_connection(*c); });
-    c->writer = std::thread([this, c] { writer_loop(*c); });
+    c->writer = std::thread([c] {
+      const auto send = [c](const Pending& entry, const std::string& body) {
+        return entry.http
+                   ? c->sock.send_all(http_response(entry.http_status, body))
+                   : c->sock.send_all(body + "\n");
+      };
+      // A dead client: wake a reader blocked in recv so it stops too.
+      if (!c->session.write_loop(send)) c->sock.shutdown_read();
+      c->mark_exited();
+    });
   }
 }
 
@@ -169,99 +361,8 @@ void NetServer::reap_finished_locked() {
   }
 }
 
-NetServer::Pending NetServer::make_entry(Connection& conn,
-                                         std::string_view payload) {
-  metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-  Pending entry;
-  ServeRequest req = parse_serve_request(payload);
-  metrics_.record_request(req);
-  entry.id = req.id;
-  if (!req.ok) {
-    metrics_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-    JobResult rejected;
-    rejected.status = JobStatus::kFailed;
-    rejected.error = req.error;
-    entry.kind = Pending::Kind::kParseError;
-    entry.immediate = serve_response_json(req.id, rejected);
-    return entry;
-  }
-  if (req.metrics) {
-    entry.kind = Pending::Kind::kImmediate;
-    entry.immediate = metrics_json(*service_, metrics_);
-    return entry;
-  }
-  // Admission control. Both bounds are advisory point-in-time reads — two
-  // racing readers may both admit at the edge — which is fine: the bound
-  // exists to stop unbounded queue growth, not to be an exact semaphore.
-  if (QFTO_FAULT_POINT("serve.admit.shed")) {
-    metrics_.shed.fetch_add(1, std::memory_order_relaxed);
-    entry.kind = Pending::Kind::kShed;
-    entry.immediate = serve_inband_error(
-        req.id, "shed", "injected fault: admission rejected; retry later");
-    return entry;
-  }
-  if (options_.max_inflight > 0 &&
-      metrics_.in_flight.load(std::memory_order_relaxed) >=
-          static_cast<std::int64_t>(options_.max_inflight)) {
-    metrics_.shed.fetch_add(1, std::memory_order_relaxed);
-    entry.kind = Pending::Kind::kShed;
-    entry.immediate = serve_inband_error(
-        req.id, "shed",
-        "server at max in-flight jobs (" +
-            std::to_string(options_.max_inflight) + "); retry later");
-    return entry;
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn.mutex);
-    if (options_.max_pending_per_conn > 0 &&
-        conn.jobs_pending >= options_.max_pending_per_conn) {
-      metrics_.shed.fetch_add(1, std::memory_order_relaxed);
-      entry.kind = Pending::Kind::kShed;
-      entry.immediate = serve_inband_error(
-          req.id, "shed",
-          "connection at max pending requests (" +
-              std::to_string(options_.max_pending_per_conn) +
-              "); read responses before sending more");
-      return entry;
-    }
-  }
-  entry.kind = Pending::Kind::kJob;
-  entry.handle = service_->submit(std::move(req.request), req.submit);
-  metrics_.in_flight.fetch_add(1, std::memory_order_relaxed);
-  return entry;
-}
-
 void NetServer::serve_connection(Connection& conn) {
   LineReader reader(conn.sock, options_.max_line);
-  // Back-pressure: the reader stalls once the writer is this far behind, so
-  // a client that writes without reading cannot grow the response queue
-  // without bound. Above max_pending_per_conn so shed notices still queue.
-  const std::size_t backlog_bound = options_.max_pending_per_conn + 64;
-  const auto push = [&](Pending entry) {
-    bool was_dead;
-    {
-      std::unique_lock<std::mutex> lock(conn.mutex);
-      conn.cv.wait(lock, [&] {
-        return conn.dead || conn.pending.size() < backlog_bound;
-      });
-      was_dead = conn.dead;
-      if (!was_dead) {
-        if (entry.kind == Pending::Kind::kJob) ++conn.jobs_pending;
-        conn.pending.push_back(std::move(entry));
-      }
-    }
-    if (was_dead) {
-      // The writer is gone; nobody will drain this entry.
-      if (entry.handle.valid()) {
-        entry.handle.cancel();
-        metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
-      }
-      return false;
-    }
-    conn.cv.notify_all();
-    return true;
-  };
-
   std::string line;
   bool first = true;
   while (reader.next(line)) {
@@ -271,7 +372,7 @@ void NetServer::serve_connection(Connection& conn) {
     }
     first = false;
     if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    if (!push(make_entry(conn, line))) break;
+    if (!conn.session.push(conn.session.make_entry(line))) break;
   }
   if (reader.status() == LineReader::Status::kOverflow) {
     // Protocol violation: report in-band, then stop reading — the rest of
@@ -279,32 +380,18 @@ void NetServer::serve_connection(Connection& conn) {
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
     metrics_.parse_errors.fetch_add(1, std::memory_order_relaxed);
     Pending entry;
-    entry.kind = Pending::Kind::kParseError;
     entry.immediate = serve_inband_error(
         "null", "error",
         "request line exceeds " + std::to_string(options_.max_line) +
             " bytes");
-    push(std::move(entry));
+    conn.session.push(std::move(entry));
   }
-  {
-    std::lock_guard<std::mutex> lock(conn.mutex);
-    conn.reader_done = true;
-  }
-  conn.cv.notify_all();
+  conn.session.finish_reading();
   conn.mark_exited();
 }
 
 void NetServer::serve_http(Connection& conn, LineReader& reader,
                            const std::string& request_line) {
-  const auto push = [&](Pending entry) {
-    {
-      std::lock_guard<std::mutex> lock(conn.mutex);
-      if (conn.dead) return;
-      if (entry.kind == Pending::Kind::kJob) ++conn.jobs_pending;
-      conn.pending.push_back(std::move(entry));
-    }
-    conn.cv.notify_all();
-  };
   const auto simple = [&](const char* status, const std::string& word,
                           const std::string& error) {
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
@@ -312,7 +399,7 @@ void NetServer::serve_http(Connection& conn, LineReader& reader,
     entry.http = true;
     entry.http_status = status;
     entry.immediate = serve_inband_error("null", word, error);
-    push(std::move(entry));
+    conn.session.push(std::move(entry));
   };
 
   const std::size_t sp1 = request_line.find(' ');
@@ -339,7 +426,7 @@ void NetServer::serve_http(Connection& conn, LineReader& reader,
     Pending entry;
     entry.http = true;
     entry.immediate = metrics_json(*service_, metrics_);
-    push(std::move(entry));
+    conn.session.push(std::move(entry));
     return;
   }
   if (method == "POST" && path == "/map") {
@@ -353,78 +440,13 @@ void NetServer::serve_http(Connection& conn, LineReader& reader,
     if (!reader.read_exact(static_cast<std::size_t>(content_length), body)) {
       return;  // body never arrived; nothing to answer
     }
-    Pending entry = make_entry(conn, body);
+    Pending entry = conn.session.make_entry(body);
     entry.http = true;
-    if (entry.kind == Pending::Kind::kParseError) {
-      entry.http_status = "400 Bad Request";
-    } else if (entry.kind == Pending::Kind::kShed) {
-      entry.http_status = "503 Service Unavailable";
-    }
-    push(std::move(entry));
+    conn.session.push(std::move(entry));
     return;
   }
   simple("404 Not Found", "error",
          "unsupported endpoint (GET /metrics, POST /map)");
-}
-
-void NetServer::writer_loop(Connection& conn) {
-  for (;;) {
-    Pending entry;
-    {
-      std::unique_lock<std::mutex> lock(conn.mutex);
-      conn.cv.wait(lock, [&] {
-        return conn.dead || conn.reader_done || !conn.pending.empty();
-      });
-      if (conn.dead || conn.pending.empty()) break;  // abandoned or drained
-      entry = std::move(conn.pending.front());
-      conn.pending.pop_front();
-      if (entry.kind == Pending::Kind::kJob) {
-        --conn.jobs_pending;
-        // Visible to stop_and_drain so a past-budget drain can cancel the
-        // job this writer is about to block on.
-        conn.writing = entry.handle;
-      }
-    }
-    conn.cv.notify_all();  // reader may be waiting on the back-pressure bound
-
-    std::string body;
-    if (entry.handle.valid()) {
-      const JobResult result = entry.handle.wait();
-      metrics_.record_result(result);
-      metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
-      body = serve_response_json(entry.id, result);
-      std::lock_guard<std::mutex> lock(conn.mutex);
-      conn.writing = JobHandle();
-    } else {
-      body = entry.immediate;
-    }
-
-    const bool sent =
-        entry.http ? conn.sock.send_all(http_response(entry.http_status, body))
-                   : conn.sock.send_all(body + "\n");
-    if (!sent) {
-      // Dead client: stop the reader, drop the backlog, cancel its jobs —
-      // the pool must not grind through work nobody can receive.
-      std::deque<Pending> orphans;
-      {
-        std::lock_guard<std::mutex> lock(conn.mutex);
-        conn.dead = true;
-        orphans.swap(conn.pending);
-        conn.jobs_pending = 0;
-      }
-      conn.cv.notify_all();
-      conn.sock.shutdown_read();
-      for (Pending& orphan : orphans) {
-        if (orphan.handle.valid()) {
-          orphan.handle.cancel();
-          metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
-        }
-      }
-      break;
-    }
-    metrics_.responses.fetch_add(1, std::memory_order_relaxed);
-  }
-  conn.mark_exited();
 }
 
 void NetServer::stop_and_drain() {
@@ -461,13 +483,7 @@ void NetServer::stop_and_drain() {
   // being waited on. Writers then complete quickly (cancelled results) and
   // connections wind down.
   if (!all_finished()) {
-    for (Connection* conn : live) {
-      std::lock_guard<std::mutex> lock(conn->mutex);
-      for (Pending& entry : conn->pending) {
-        if (entry.handle.valid()) entry.handle.cancel();
-      }
-      if (conn->writing.valid()) conn->writing.cancel();
-    }
+    for (Connection* conn : live) conn->session.cancel_all();
   }
 
   std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -479,4 +495,33 @@ void NetServer::stop_and_drain() {
 }
 
 }  // namespace net
+
+// ---------------------------------------------------------- stdio loop --
+
+int run_serve_loop(std::istream& in, std::ostream& out,
+                   MappingService& service) {
+  // stdio never sheds: the reader blocks once 256 responses are queued.
+  net::Limits limits;
+  limits.backlog = 256;
+  ServeMetrics metrics;
+  net::Session session(service, metrics, limits);
+  bool delivered = true;
+  std::thread writer([&] {
+    delivered = session.write_loop([&](const net::Pending&,
+                                       const std::string& body) {
+      out << body << '\n' << std::flush;
+      return static_cast<bool>(out);
+    });
+  });
+  // A final line without '\n' is still a request (std::getline semantics).
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (!session.push(session.make_entry(line))) break;
+  }
+  session.finish_reading();
+  writer.join();
+  return delivered ? 0 : 1;
+}
+
 }  // namespace qfto

@@ -1,10 +1,12 @@
-// TCP front-end for the MappingService — the transport that turns the
-// single-client stdio serve loop into a multi-tenant server. One accept loop,
-// one reader/writer thread pair per connection, both speaking the exact
-// protocol of serve.hpp (parse_serve_request / serve_response_json), so the
-// stdio loop, the socket path and every test exercise the same request
-// grammar. Responses stream back in per-connection request order while jobs
-// run concurrently under the service's priority/deadline semantics.
+// TCP front-end for the MappingService: one accept loop and one
+// reader/writer thread pair per connection. Each connection runs the same
+// session as the stdio loop (run_serve_loop, serve.hpp): one make_entry
+// (parse, admit, submit), one ordered response queue, one writer that
+// cancels the backlog when its client dies. Responses stream back in per-connection
+// request order while jobs run concurrently under the service's
+// priority/deadline semantics. Unlike stdio, a connection sheds, bounds its
+// line length (an overlong line gets an in-band error, then the connection
+// stops reading) and drops a last frame that lacks '\n'.
 //
 // Two protocols share the port, sniffed from the first bytes of each
 // connection:
@@ -20,7 +22,8 @@
 // per-connection pending bound. A request over either limit is *shed* — the
 // client gets an immediate in-band `{"ok":false,"status":"shed",...}` (HTTP
 // 503) instead of a silently deepening queue; CHC-COMP-style
-// resource-limited well-formedness is the model. Graceful drain: stop
+// resource-limited well-formedness is the model. The reader stops reading
+// once the pending bound plus 64 responses are queued. Graceful drain: stop
 // accepting, half-close every connection's read side, finish in-flight jobs
 // within a drain budget, then flip cancel tokens on whatever remains.
 #pragma once
@@ -98,16 +101,12 @@ class NetServer {
   void stop_and_drain();
 
  private:
-  struct Pending;
   struct Connection;
 
   void accept_loop();
   void serve_connection(Connection& conn);
   void serve_http(Connection& conn, LineReader& reader,
                   const std::string& request_line);
-  void writer_loop(Connection& conn);
-  /// Admission + parse of one request payload; returns the queue entry.
-  Pending make_entry(Connection& conn, std::string_view payload);
   void reap_finished_locked();
 
   MappingService* service_;

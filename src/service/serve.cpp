@@ -6,17 +6,11 @@
 
 #include <cctype>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <istream>
 #include <map>
-#include <mutex>
-#include <ostream>
-#include <thread>
 
 namespace qfto {
 
@@ -695,117 +689,6 @@ std::string metrics_json(const MappingService& service,
   histogram("queue_seconds", metrics.queue_latency);
   s += "}";
   return s;
-}
-
-// ---------------------------------------------------------- stdio loop --
-
-int run_serve_loop(std::istream& in, std::ostream& out,
-                   MappingService& service) {
-  // Reader/writer split: the reader blocks in getline while the writer
-  // emits each response — in request order, flushed per line — the moment
-  // its job finishes. A single-threaded loop could only emit on the next
-  // input line, deadlocking interactive clients that wait for a response
-  // before sending the next request.
-  struct Pending {
-    std::string id;
-    JobHandle handle;      // empty when `immediate` carries the response
-    std::string immediate; // pre-formatted response for rejected lines
-  };
-  constexpr std::size_t kMaxPending = 256;  // reader back-pressure bound
-  ServeMetrics metrics;
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Pending> pending;
-  bool eof = false;
-  bool dead = false;  // `out` failed: the client is gone
-
-  std::thread writer([&]() {
-    for (;;) {
-      Pending entry;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return eof || !pending.empty(); });
-        if (pending.empty()) return;  // eof and drained
-        entry = std::move(pending.front());
-        pending.pop_front();
-      }
-      cv.notify_all();  // reader may be waiting on the back-pressure bound
-      if (entry.handle.valid()) {
-        const JobResult result = entry.handle.wait();
-        metrics.record_result(result);
-        metrics.in_flight.fetch_sub(1, std::memory_order_relaxed);
-        out << serve_response_json(entry.id, result) << '\n' << std::flush;
-      } else {
-        out << entry.immediate << '\n' << std::flush;
-      }
-      metrics.responses.fetch_add(1, std::memory_order_relaxed);
-      if (!out) {
-        // Broken pipe: stop the reader, stop draining — every job still in
-        // `pending` is cancelled below; finishing them would burn worker
-        // time producing output nobody can receive.
-        std::lock_guard<std::mutex> lock(mutex);
-        dead = true;
-        cv.notify_all();
-        return;
-      }
-    }
-  });
-
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    metrics.requests.fetch_add(1, std::memory_order_relaxed);
-    ServeRequest req = parse_serve_request(line);
-    metrics.record_request(req);
-    Pending entry;
-    entry.id = req.id;
-    if (!req.ok) {
-      metrics.parse_errors.fetch_add(1, std::memory_order_relaxed);
-      JobResult rejected;
-      rejected.status = JobStatus::kFailed;
-      rejected.error = req.error;
-      entry.immediate = serve_response_json(req.id, rejected);
-    } else if (req.metrics) {
-      entry.immediate = metrics_json(service, metrics);
-    } else {
-      entry.handle = service.submit(std::move(req.request), req.submit);
-      metrics.in_flight.fetch_add(1, std::memory_order_relaxed);
-    }
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, [&] { return dead || pending.size() < kMaxPending; });
-      if (dead) {
-        // The writer is gone; this entry would never be drained. Cancel its
-        // job (if any) along with the rest below.
-        pending.push_back(std::move(entry));
-        break;
-      }
-      pending.push_back(std::move(entry));
-    }
-    cv.notify_all();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    eof = true;
-  }
-  cv.notify_all();
-  writer.join();
-  // On a dead client the writer exits with `pending` non-empty: cancel every
-  // orphaned job so the pool stops grinding through an unread backlog.
-  bool client_died;
-  std::deque<Pending> orphans;
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    client_died = dead;
-    orphans.swap(pending);
-  }
-  for (Pending& entry : orphans) {
-    if (entry.handle.valid()) {
-      entry.handle.cancel();
-      metrics.in_flight.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  return client_died ? 1 : 0;
 }
 
 }  // namespace qfto

@@ -1,8 +1,8 @@
-// Long-running front-end for the MappingService: newline-delimited JSON
-// requests in, newline-delimited JSON responses out — scriptable from a
-// shell pipe, smokable in CI, and the exact protocol the socket transport
-// (service/net_server.hpp) serves to concurrent clients. One request per
-// line:
+// The serve protocol of the MappingService: newline-delimited JSON requests
+// in, newline-delimited JSON responses out. Two front-ends speak it through
+// one per-stream session (service/net_server.cpp): run_serve_loop on a
+// stdio pair (`qftmap --serve`) and the socket transport
+// (service/net_server.hpp) for concurrent clients. One request per line:
 //
 //   {"id": 1, "engine": "lattice", "n": 100}
 //   {"id": "warm", "engine": "lattice", "n": 100}            -> cache_hit
@@ -50,7 +50,8 @@
 //    "requests":...,"responses":...,"shed":...,"parse_errors":...,
 //    "in_flight":...,
 //    "cache":{"hits":...,"misses":...,"insertions":...,"evictions":...,
-//             "expired":...,"entries":...,"capacity":...},
+//             "expired":...,"load_quarantined":...,"entries":...,
+//             "capacity":...},
 //    "devices":{"loaded":...,"load_errors":...},
 //    "sat":{"conflicts":...,"decisions":...,"restarts":...,"solve_calls":...},
 //    "portfolio":{"races":...,"lane_cancellations":...,
@@ -94,11 +95,13 @@
 // request after a backoff — see net::request_with_retry) and their
 // `queue_seconds`.
 //
-// SAT-backed engines (satmap) additionally report their search effort:
-// "sat_conflicts", "sat_decisions", "sat_restarts", "sat_solve_calls".
-// The socket front-end adds one failure status the stdio loop never emits:
-// {"ok":false,"status":"shed",...} when admission control rejects a
-// request under load (see net_server.hpp).
+// The two front-ends differ only in their limits. stdio never sheds (no
+// in-flight or per-stream bound, no serve.admit.shed fault point): its
+// reader blocks once 256 responses are queued. It has no line-length bound
+// and no HTTP sniffing, skips blank lines (" \t\r"), serves a final line
+// that lacks '\n', and flushes each response as it is written. A socket
+// connection sheds, frames lines with a length bound and drops a partial
+// last frame (see net_server.hpp).
 #pragma once
 
 #include <atomic>
@@ -185,11 +188,11 @@ std::string metrics_json(const MappingService& service,
 
 /// Reads requests from `in` until EOF, submits each to `service`, and
 /// streams responses to `out` in request order (each flushed as its job
-/// completes). Blank lines are skipped; per-request failures are reported
-/// in-band as {"ok":false,...} responses. Returns 0 on clean EOF. When `out`
-/// fails (dead client / broken pipe), the loop stops reading, cancels every
-/// still-pending job and returns 1 — a dead consumer must not keep the
-/// service grinding through its backlog.
+/// completes), under the stdio limits above. Per-request failures are
+/// reported in-band as {"ok":false,...} responses. Returns 0 at EOF once
+/// every response is written. When `out` fails (dead client / broken pipe),
+/// the loop stops reading, cancels every still-pending job and returns 1 —
+/// a dead consumer must not keep the service grinding through its backlog.
 int run_serve_loop(std::istream& in, std::ostream& out,
                    MappingService& service);
 

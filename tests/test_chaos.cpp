@@ -371,6 +371,38 @@ TEST_F(ChaosTest, NonStdThrowOverSocketCarriesTheTaxonomy) {
   EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos) << line;
 }
 
+TEST_F(ChaosTest, StdioNeverShedsWhereASocketDoes) {
+  // Both front-ends share one session; only their limits differ. Admission
+  // control, and with it the shed fault point, belongs to the socket side.
+  MappingService service{service_options(1)};
+  fault::arm("serve.admit.shed", fault::always());
+
+  std::istringstream in(
+      "{\"id\":1,\"engine\":\"lnn\",\"n\":6}\n"
+      "{\"id\":2,\"engine\":\"lnn\",\"n\":7}\n");
+  std::ostringstream out;
+  EXPECT_EQ(run_serve_loop(in, out, service), 0);
+  std::istringstream reread(out.str());
+  int answered = 0;
+  for (std::string line; std::getline(reread, line); ++answered) {
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+  }
+  EXPECT_EQ(answered, 2);
+  EXPECT_EQ(fault::fired_count("serve.admit.shed"), 0u);
+
+  NetServer server(service, loopback());
+  server.start();
+  std::string error;
+  Socket sock = net::dial(server.host(), server.port(), &error);
+  ASSERT_TRUE(sock.valid()) << error;
+  ASSERT_TRUE(sock.send_all("{\"id\":3,\"engine\":\"lnn\",\"n\":6}\n"));
+  LineReader reader(sock);
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_NE(line.find("\"status\":\"shed\""), std::string::npos) << line;
+  EXPECT_EQ(fault::fired_count("serve.admit.shed"), 1u);
+}
+
 TEST_F(ChaosTest, InjectedQueueRejectionRetiresBeforeDispatch) {
   MappingService service{service_options(1)};
   fault::arm("service.queue.reject", fault::always());

@@ -4,6 +4,7 @@
 // The concurrency here is what the CI TSan leg locks in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -852,6 +853,47 @@ TEST(Serve, DeadClientStopsTheLoopAndCancelsTheBacklog) {
   // whole backlog; noticing the dead stream after the first response and
   // cancelling the rest must beat that by a wide margin.
   EXPECT_LT(timer.seconds(), 3.0);
+}
+
+TEST(Serve, StdioBlocksInsteadOfShedding) {
+  // 300 requests against one 1 ms worker: the reader outruns the writer and
+  // fills the 256-entry queue. A socket connection sheds past its pending
+  // bound; stdio must block instead and answer every request.
+  std::string input;
+  for (int i = 0; i < 300; ++i) {
+    input += "{\"id\": " + std::to_string(i) +
+             ", \"engine\": \"sleeper\", \"n\": 4}\n";
+  }
+  std::istringstream in(input);
+  std::ostringstream out;
+  const MapperPipeline pipeline = pipeline_with_sleeper(0.001);
+  MappingService service{service_options(1), pipeline};
+  EXPECT_EQ(run_serve_loop(in, out, service), 0);
+
+  std::vector<std::string> lines;
+  std::istringstream reread(out.str());
+  for (std::string line; std::getline(reread, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 300u);
+  for (int i = 0; i < 300; ++i) {
+    const std::string& line = lines[static_cast<std::size_t>(i)];
+    EXPECT_EQ(line.rfind("{\"id\":" + std::to_string(i) + ",", 0), 0u)
+        << line;
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+    EXPECT_EQ(line.find("shed"), std::string::npos) << line;
+  }
+}
+
+TEST(Serve, FinalLineWithoutNewlineIsServed) {
+  // std::getline semantics: an unterminated last line is still a request
+  // over stdio (a socket drops such a partial frame instead).
+  std::istringstream in("{\"id\":9,\"engine\":\"lnn\",\"n\":4}");
+  std::ostringstream out;
+  MappingService service{service_options(1)};
+  EXPECT_EQ(run_serve_loop(in, out, service), 0);
+  const std::string text = out.str();
+  EXPECT_EQ(text.rfind("{\"id\":9,", 0), 0u) << text;
+  EXPECT_NE(text.find("\"ok\":true"), std::string::npos) << text;
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
 }
 
 // ---------------------------------------------------- lifecycle under load --

@@ -10,9 +10,12 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -422,6 +425,53 @@ TEST(Transport, HttpPostMapAndErrorStatuses) {
   ASSERT_TRUE(sock.send_all("GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"));
   LineReader reader(sock);
   EXPECT_EQ(read_line(reader), "HTTP/1.1 404 Not Found");
+}
+
+// ------------------------------------------------------- stdio parity --
+
+/// Blanks the values of the wall-clock fields, the only bytes two runs of
+/// the same request file may differ in.
+std::string mask_timings(const std::string& text) {
+  static const std::regex timing(
+      "\"(map_seconds|check_seconds|queue_seconds)\":[-+.eE0-9]+");
+  return std::regex_replace(text, timing, "\"$1\":T");
+}
+
+TEST(Transport, StdioAndSocketAnswerOneRequestFileAlike) {
+  const std::string requests =
+      "{\"id\":1,\"engine\":\"lnn\",\"n\":8}\n"
+      "{\"id\":2,\"engine\":\"lnn\",\"n\":8}\n"  // cache hit
+      "{\"id\":3,\"engine\":\"nosuch\",\"n\":4}\n"
+      "{\"id\":4,\"bad\"\n"
+      "{\"id\":5,\"engine\":\"sabre\",\"qasm\":\"OPENQASM 2.0;\\nqreg q[3];"
+      "\\nh q[0];\\ncx q[0],q[2];\\ncx q[1],q[2];\\n\"}\n"
+      "{\"metrics\":true,\"x\":1}\n";
+
+  std::istringstream in(requests);
+  std::ostringstream out;
+  {
+    MappingService service{service_options(1)};
+    EXPECT_EQ(run_serve_loop(in, out, service), 0);
+  }
+
+  std::string socket_out;
+  {
+    MappingService service{service_options(1)};
+    NetServer server(service, loopback());
+    server.start();
+    Socket sock = connect_to(server);
+    ASSERT_TRUE(sock.send_all(requests));
+    ::shutdown(sock.fd(), SHUT_WR);
+    LineReader reader(sock);
+    for (std::string line; reader.next(line);) socket_out += line + "\n";
+    EXPECT_EQ(reader.status(), LineReader::Status::kEof);
+  }
+
+  const std::string stdio_out = out.str();
+  EXPECT_EQ(std::count(stdio_out.begin(), stdio_out.end(), '\n'), 6)
+      << stdio_out;
+  EXPECT_NE(stdio_out.find("\"cache_hit\":true"), std::string::npos);
+  EXPECT_EQ(mask_timings(stdio_out), mask_timings(socket_out));
 }
 
 // ------------------------------------------------------------------ drain --
