@@ -7,197 +7,14 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "arch/grid.hpp"
-#include "arch/heavy_hex.hpp"
-#include "arch/lattice_surgery.hpp"
-#include "arch/line.hpp"
-#include "arch/sycamore.hpp"
+#include "common/json.hpp"
 #include "common/prng.hpp"
 
 namespace qfto {
 
 namespace {
 
-// ------------------------------------------------------- positioned parser --
-// Device files are nested JSON (arrays of edge objects), which the serve
-// protocol's flat parser cannot express — so the loader carries its own
-// small recursive-descent parser. It parses only the shapes the schema
-// needs (objects, arrays, strings, numbers), tracks the current line, and
-// positions every rejection the way from_qasm does: callers see
-// "device json line N: <what>" and can print it verbatim.
-
-class DeviceJsonParser {
- public:
-  explicit DeviceJsonParser(std::string_view text, std::string where)
-      : p_(text.data()), end_(text.data() + text.size()),
-        where_(std::move(where)) {}
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument(where_ + " line " + std::to_string(line_) +
-                                ": " + what);
-  }
-
-  void skip_ws() {
-    while (p_ < end_) {
-      const char c = *p_;
-      if (c == '\n') ++line_;
-      if (c != ' ' && c != '\t' && c != '\r' && c != '\n') break;
-      ++p_;
-    }
-  }
-
-  bool at_end() {
-    skip_ws();
-    return p_ >= end_;
-  }
-
-  char peek() {
-    skip_ws();
-    if (p_ >= end_) fail("unexpected end of input");
-    return *p_;
-  }
-
-  void expect(char c, const char* what) {
-    if (peek() != c) {
-      fail(std::string("expected ") + what + ", got '" + *p_ + "'");
-    }
-    ++p_;
-  }
-
-  std::string parse_string() {
-    expect('"', "'\"'");
-    std::string out;
-    while (p_ < end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c == '\n') fail("unterminated string");
-      if (c == '\\') {
-        if (p_ >= end_) fail("dangling escape");
-        const char esc = *p_++;
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          default: fail("unsupported string escape");
-        }
-      }
-      out += c;
-    }
-    if (p_ >= end_) fail("unterminated string");
-    ++p_;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    char buf[64];
-    std::size_t len = 0;
-    while (p_ + len < end_) {
-      const char c = p_[len];
-      const bool number_char = (c >= '0' && c <= '9') || c == '+' ||
-                               c == '-' || c == '.' || c == 'e' || c == 'E';
-      if (!number_char) break;
-      if (len + 1 >= sizeof(buf)) fail("number token too long");
-      buf[len] = c;
-      ++len;
-    }
-    if (len == 0) fail("expected a number");
-    buf[len] = '\0';
-    char* num_end = nullptr;
-    const double v = std::strtod(buf, &num_end);
-    if (num_end != buf + len) fail("malformed number");
-    if (!std::isfinite(v)) fail("non-finite number");
-    p_ += len;
-    return v;
-  }
-
-  /// Object walker: calls `on_key(key)` for each member; the callback must
-  /// consume the value. Enforces the {"k": v, ...} punctuation.
-  template <typename OnKey>
-  void parse_object(OnKey&& on_key) {
-    expect('{', "'{'");
-    if (peek() == '}') {
-      ++p_;
-      return;
-    }
-    for (;;) {
-      const std::string key = [&] {
-        skip_ws();
-        return parse_string();
-      }();
-      expect(':', "':'");
-      on_key(key);
-      const char c = peek();
-      if (c == ',') {
-        ++p_;
-        continue;
-      }
-      if (c == '}') {
-        ++p_;
-        return;
-      }
-      fail("expected ',' or '}'");
-    }
-  }
-
-  /// Array walker: calls `on_element()` per element (which must consume it).
-  template <typename OnElement>
-  void parse_array(OnElement&& on_element) {
-    expect('[', "'['");
-    if (peek() == ']') {
-      ++p_;
-      return;
-    }
-    for (;;) {
-      on_element();
-      const char c = peek();
-      if (c == ',') {
-        ++p_;
-        continue;
-      }
-      if (c == ']') {
-        ++p_;
-        return;
-      }
-      fail("expected ',' or ']'");
-    }
-  }
-
-  std::int32_t line() const { return line_; }
-
- private:
-  const char* p_;
-  const char* end_;
-  std::string where_;
-  std::int32_t line_ = 1;
-};
-
-/// Scalar-or-array field: broadcasts a scalar to all n slots, or requires
-/// exactly n array elements. `check` validates each value.
-template <typename Check>
-void parse_per_qubit(DeviceJsonParser& p, std::vector<double>& out,
-                     std::size_t n, const char* key, Check&& check) {
-  if (p.peek() == '[') {
-    std::size_t i = 0;
-    p.parse_array([&] {
-      const double v = p.parse_number();
-      check(v);
-      if (i >= n) p.fail(std::string("\"") + key + "\" array longer than n");
-      out[i++] = v;
-    });
-    if (i != n) {
-      p.fail(std::string("\"") + key + "\" array has " + std::to_string(i) +
-             " entries, expected " + std::to_string(n));
-    }
-  } else {
-    const double v = p.parse_number();
-    check(v);
-    std::fill(out.begin(), out.end(), v);
-  }
-}
-
-Cycle as_cycle(DeviceJsonParser& p, double v, const char* key) {
+Cycle as_cycle(const json::Reader& p, double v, const char* key) {
   if (v < 1.0 || v > 1e6 || v != std::floor(v)) {
     p.fail(std::string("\"") + key +
            "\" must be an integral cycle count in [1, 1e6]");
@@ -208,62 +25,62 @@ Cycle as_cycle(DeviceJsonParser& p, double v, const char* key) {
 }  // namespace
 
 DeviceModel DeviceModel::from_json(std::string_view text) {
-  return [&] {
-    DeviceJsonParser p(text, "device json");
-    DeviceModel dev;
+  json::Reader p(text);
+  DeviceModel dev;
+  try {
     bool saw_qubits = false, saw_edges = false;
     double error_1q = 1e-4, coherence = 2e4;
     std::vector<double> error_1q_arr, coherence_arr;
     bool error_1q_is_array = false, coherence_is_array = false;
 
-    p.parse_object([&](const std::string& key) {
+    p.object([&](const std::string& key) {
       if (key == "name") {
-        dev.name_ = p.parse_string();
+        dev.name_ = p.string();
       } else if (key == "qubits") {
-        const double v = p.parse_number();
+        const double v = p.number();
         if (v < 1.0 || v > 16'777'216.0 || v != std::floor(v)) {
           p.fail("\"qubits\" must be an integer in [1, 16777216]");
         }
         dev.num_qubits_ = static_cast<std::int32_t>(v);
         saw_qubits = true;
       } else if (key == "latency_1q") {
-        dev.latency_1q_ = as_cycle(p, p.parse_number(), "latency_1q");
+        dev.latency_1q_ = as_cycle(p, p.number(), "latency_1q");
       } else if (key == "error_1q") {
         // Deferred: the per-qubit array length check needs "qubits", which
         // may appear later in the object.
         error_1q_is_array = p.peek() == '[';
         if (error_1q_is_array) {
-          p.parse_array([&] { error_1q_arr.push_back(p.parse_number()); });
+          p.array([&] { error_1q_arr.push_back(p.number()); });
         } else {
-          error_1q = p.parse_number();
+          error_1q = p.number();
         }
       } else if (key == "coherence_cycles") {
         coherence_is_array = p.peek() == '[';
         if (coherence_is_array) {
-          p.parse_array([&] { coherence_arr.push_back(p.parse_number()); });
+          p.array([&] { coherence_arr.push_back(p.number()); });
         } else {
-          coherence = p.parse_number();
+          coherence = p.number();
         }
       } else if (key == "edges") {
         saw_edges = true;
-        p.parse_array([&] {
+        p.array([&] {
           DeviceEdge e;
           bool saw_a = false, saw_b = false, saw_swap = false;
-          p.parse_object([&](const std::string& ek) {
+          p.object([&](const std::string& ek) {
             if (ek == "a" || ek == "b") {
-              const double v = p.parse_number();
+              const double v = p.number();
               if (v < 0.0 || v > 16'777'215.0 || v != std::floor(v)) {
                 p.fail("edge \"" + ek + "\" must be a qubit index");
               }
               (ek == "a" ? e.a : e.b) = static_cast<PhysicalQubit>(v);
               (ek == "a" ? saw_a : saw_b) = true;
             } else if (ek == "latency") {
-              e.latency = as_cycle(p, p.parse_number(), "latency");
+              e.latency = as_cycle(p, p.number(), "latency");
             } else if (ek == "swap_latency") {
-              e.swap_latency = as_cycle(p, p.parse_number(), "swap_latency");
+              e.swap_latency = as_cycle(p, p.number(), "swap_latency");
               saw_swap = true;
             } else if (ek == "error") {
-              e.error_2q = p.parse_number();
+              e.error_2q = p.number();
               if (!(e.error_2q >= 0.0 && e.error_2q < 1.0)) {
                 p.fail("edge \"error\" must be in [0, 1)");
               }
@@ -277,13 +94,13 @@ DeviceModel DeviceModel::from_json(std::string_view text) {
             p.fail("edge (" + std::to_string(e.a) + ", " + std::to_string(e.b) +
                    ") is a self-loop");
           }
-          // Checked here, not just in finalize(), so the rejection carries
-          // the offending edge's line.
-          for (const DeviceEdge& prev : dev.edges_) {
-            if (edge_index_key(prev.a, prev.b) == edge_index_key(e.a, e.b)) {
-              p.fail("duplicate edge (" + std::to_string(e.a) + ", " +
-                     std::to_string(e.b) + ")");
-            }
+          // Checked against the edge index as it grows, so the rejection
+          // carries the offending edge's line in O(1) per edge.
+          if (!dev.edge_index_.emplace(edge_index_key(e.a, e.b),
+                                       dev.edges_.size())
+                   .second) {
+            p.fail("duplicate edge (" + std::to_string(e.a) + ", " +
+                   std::to_string(e.b) + ")");
           }
           dev.edges_.push_back(e);
         });
@@ -333,10 +150,33 @@ DeviceModel DeviceModel::from_json(std::string_view text) {
       check_coherence(coherence);
       for (auto& q : dev.qubits_) q.coherence_cycles = coherence;
     }
+  } catch (const json::Error& e) {
+    throw std::invalid_argument("device json line " + std::to_string(e.line()) +
+                                ": " + e.what());
+  }
 
-    dev.finalize("device json");
-    return dev;
-  }();
+  // Whole-device checks: an edge may name a qubit before "qubits" is read.
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("device json: " + what);
+  };
+  for (const DeviceEdge& e : dev.edges_) {
+    if (e.a >= dev.num_qubits_ || e.b >= dev.num_qubits_) {
+      fail("edge (" + std::to_string(e.a) + ", " + std::to_string(e.b) +
+           ") references a qubit past n=" + std::to_string(dev.num_qubits_));
+    }
+    const std::pair<Cycle, Cycle> cls{e.latency, e.swap_latency};
+    if (std::find(dev.classes_.begin(), dev.classes_.end(), cls) ==
+        dev.classes_.end()) {
+      dev.classes_.push_back(cls);
+    }
+  }
+  if (dev.classes_.size() > kLinkTypeCount) {
+    fail("device carries " + std::to_string(dev.classes_.size()) +
+         " distinct (latency, swap_latency) classes; at most " +
+         std::to_string(kLinkTypeCount) + " are supported");
+  }
+  std::sort(dev.classes_.begin(), dev.classes_.end());
+  return dev;
 }
 
 DeviceModel DeviceModel::load_file(const std::string& path) {
@@ -353,44 +193,6 @@ DeviceModel DeviceModel::load_file(const std::string& path) {
     // attributable; the positioned line stays intact.
     throw std::invalid_argument(path + ": " + e.what());
   }
-}
-
-void DeviceModel::finalize(const std::string& where) {
-  const auto fail = [&](const std::string& what) {
-    throw std::invalid_argument(where + ": " + what);
-  };
-  require(num_qubits_ >= 1, where + ": device has no qubits");
-  if (qubits_.size() != static_cast<std::size_t>(num_qubits_)) {
-    qubits_.resize(static_cast<std::size_t>(num_qubits_));
-  }
-  edge_index_.clear();
-  edge_index_.reserve(edges_.size());
-  classes_.clear();
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    const DeviceEdge& e = edges_[i];
-    if (e.a == e.b) {
-      fail("edge (" + std::to_string(e.a) + ", " + std::to_string(e.b) +
-           ") is a self-loop");
-    }
-    if (e.a < 0 || e.b < 0 || e.a >= num_qubits_ || e.b >= num_qubits_) {
-      fail("edge (" + std::to_string(e.a) + ", " + std::to_string(e.b) +
-           ") references a qubit past n=" + std::to_string(num_qubits_));
-    }
-    if (!edge_index_.emplace(edge_index_key(e.a, e.b), i).second) {
-      fail("duplicate edge (" + std::to_string(e.a) + ", " +
-           std::to_string(e.b) + ")");
-    }
-    const std::pair<Cycle, Cycle> cls{e.latency, e.swap_latency};
-    if (std::find(classes_.begin(), classes_.end(), cls) == classes_.end()) {
-      classes_.push_back(cls);
-    }
-  }
-  if (classes_.size() > kLinkTypeCount) {
-    fail("device carries " + std::to_string(classes_.size()) +
-         " distinct (latency, swap_latency) classes; at most " +
-         std::to_string(kLinkTypeCount) + " are supported");
-  }
-  std::sort(classes_.begin(), classes_.end());
 }
 
 double DeviceModel::edge_error(PhysicalQubit a, PhysicalQubit b,
@@ -443,7 +245,7 @@ CouplingGraph DeviceModel::build_graph() const {
 }
 
 LatencyModel DeviceModel::resolve_latency(const CouplingGraph* g) const {
-  require(!classes_.empty(), "DeviceModel: finalize() not run (no edges)");
+  require(!classes_.empty(), "DeviceModel: no edges (not loaded)");
   LatencyModel m;
   m.set_cost(GateKind::kH, latency_1q_);
   m.set_cost(GateKind::kX, latency_1q_);
@@ -487,121 +289,6 @@ double DeviceModel::mean_error_1q() const {
   double sum = 0.0;
   for (const DeviceQubit& q : qubits_) sum += q.error_1q;
   return qubits_.empty() ? 0.0 : sum / static_cast<double>(qubits_.size());
-}
-
-double DeviceModel::mean_error_2q() const {
-  double sum = 0.0;
-  for (const DeviceEdge& e : edges_) sum += e.error_2q;
-  return edges_.empty() ? 0.0 : sum / static_cast<double>(edges_.size());
-}
-
-double DeviceModel::mean_coherence_cycles() const {
-  double sum = 0.0;
-  for (const DeviceQubit& q : qubits_) sum += q.coherence_cycles;
-  return qubits_.empty() ? 2e4 : sum / static_cast<double>(qubits_.size());
-}
-
-// ----------------------------------------------------------- builtin specs --
-
-DeviceModel DeviceModel::from_graph(std::string name, const CouplingGraph& g,
-                                    const Cycle latency[kLinkTypeCount],
-                                    const Cycle swap_latency[kLinkTypeCount]) {
-  DeviceModel dev;
-  dev.name_ = std::move(name);
-  dev.num_qubits_ = g.num_qubits();
-  dev.qubits_.resize(static_cast<std::size_t>(g.num_qubits()));
-  for (std::int32_t a = 0; a < g.num_qubits(); ++a) {
-    for (const PhysicalQubit b : g.neighbors(a)) {
-      if (b <= a) continue;  // undirected: take each edge once
-      DeviceEdge e;
-      e.a = a;
-      e.b = b;
-      const auto type = g.link_type(a, b).value_or(LinkType::kStandard);
-      e.latency = latency[static_cast<std::size_t>(type)];
-      e.swap_latency = swap_latency[static_cast<std::size_t>(type)];
-      dev.edges_.push_back(e);
-    }
-  }
-  dev.finalize("DeviceModel::from_graph(" + dev.name_ + ")");
-  return dev;
-}
-
-namespace {
-
-/// Smallest m >= lo with m*m >= n (the engines' snapping rule).
-std::int32_t grid_side_for(std::int32_t n, std::int32_t lo) {
-  std::int32_t m = lo;
-  while (static_cast<std::int64_t>(m) * m < n) ++m;
-  return m;
-}
-
-DeviceModel uniform_spec(std::string name, const CouplingGraph& g) {
-  const Cycle lat[kLinkTypeCount] = {1, 1, 1};
-  const Cycle swap[kLinkTypeCount] = {3, 3, 3};
-  return DeviceModel::from_graph(std::move(name), g, lat, swap);
-}
-
-}  // namespace
-
-DeviceModel DeviceModel::builtin(const std::string& topology,
-                                 std::int32_t n) {
-  require(n >= 1, "DeviceModel::builtin: n >= 1");
-  require(n <= 16'777'216, "DeviceModel::builtin: n too large");
-  if (topology == "line" || topology == "lnn") {
-    return uniform_spec("line-" + std::to_string(n), make_line(n));
-  }
-  if (topology == "grid") {
-    const std::int32_t m = grid_side_for(n, 2);
-    return uniform_spec("grid-" + std::to_string(m) + "x" + std::to_string(m),
-                        make_grid(m, m));
-  }
-  if (topology == "heavy_hex") {
-    const std::int32_t native = n <= 5 ? 5 : (n + 4) / 5 * 5;
-    return uniform_spec("heavy-hex-" + std::to_string(native),
-                        make_heavy_hex(heavy_hex_layout(native)));
-  }
-  if (topology == "sycamore") {
-    std::int32_t m = grid_side_for(n, 2);
-    if (m % 2 != 0) ++m;
-    return uniform_spec("sycamore-" + std::to_string(m), make_sycamore(m));
-  }
-  if (topology == "lattice") {
-    // The §2.3 weighted calibration: CNOT/CPHASE cost 2 on any link, SWAP
-    // costs 2 on fast (diagonal-tile) links and 3 CNOTs = 6 on axial ones.
-    const std::int32_t m = grid_side_for(n, 2);
-    const Cycle lat[kLinkTypeCount] = {kLsCnotDepth, kLsCnotDepth,
-                                       kLsCnotDepth};
-    const Cycle swap[kLinkTypeCount] = {kLsSlowSwapDepth, kLsFastSwapDepth,
-                                        kLsSlowSwapDepth};
-    return from_graph("lattice-" + std::to_string(m),
-                      make_lattice_surgery_rotated(m), lat, swap);
-  }
-  std::string known;
-  for (const std::string& name : builtin_names()) {
-    if (!known.empty()) known += ", ";
-    known += name;
-  }
-  throw std::invalid_argument("DeviceModel::builtin: unknown topology '" +
-                              topology + "' (known: " + known + ")");
-}
-
-std::vector<std::string> DeviceModel::builtin_names() {
-  return {"line", "grid", "heavy_hex", "sycamore", "lattice"};
-}
-
-const DeviceModel& DeviceModel::nisq_spec() {
-  // The smallest device exhibiting the default NISQ calibration: one
-  // uniform 1-cycle class, default error rates. nisq() resolves its cycle
-  // table from here instead of aliasing unit() — and the spec is
-  // deliberately unit-equivalent (SWAP included: the idealized NISQ
-  // abstraction charges one cycle per gate, unlike a generic device's
-  // 3-CNOT SWAP default), which LatencyModel.NisqUniform pins.
-  static const DeviceModel spec = [] {
-    const Cycle lat[kLinkTypeCount] = {1, 1, 1};
-    const Cycle swap[kLinkTypeCount] = {1, 1, 1};
-    return from_graph("nisq-default", make_line(2), lat, swap);
-  }();
-  return spec;
 }
 
 }  // namespace qfto

@@ -2,12 +2,12 @@
 // DeviceModel is *data*, not a compile-time topology choice: qubit count, an
 // edge list carrying per-edge two-qubit latency (in scheduler cycles) and
 // error rate, and per-qubit single-qubit error + coherence horizons. It is
-// loaded from a device JSON file (or built from the generated builtin specs,
-// which re-express the five hardcoded topologies as device descriptions), and
+// loaded from device JSON (a file, or inline text in a serve request), and
 // everything downstream — CouplingGraph shape, LatencyModel cycle table,
 // fidelity accounting, SABRE's fidelity-aware cost mode, the ResultCache key
-// — resolves from it. Topologies stop being the source of truth; the enum of
-// builders survives only as a convenience namespace.
+// — resolves from it. The text goes through the same JSON reader as serve
+// requests (common/json.hpp): the full string escape set, isspace
+// whitespace.
 //
 // JSON schema (single top-level object; unknown keys fail loudly):
 //
@@ -24,12 +24,15 @@
 //     ]
 //   }
 //
-// Validation is strict and every rejection is positioned ("device json line
-// N: ..."), mirroring from_qasm: duplicate edges, out-of-range error rates,
-// qubit indices past n, truncated input — all raise std::invalid_argument,
-// never crash. Distinct per-edge (latency, swap_latency) pairs become the
-// graph's link classes; since LatencyModel resolves costs per link type,
-// a device may carry at most kLinkTypeCount (= 3) distinct latency classes.
+// Validation is strict and, like from_qasm, positions its rejections
+// ("device json line N: ..."): duplicate edges, out-of-range error rates,
+// truncated input. The two whole-device checks run once the document is
+// read and say "device json: ...": a qubit index past n ("qubits" may come
+// after "edges") and too many latency classes. All raise
+// std::invalid_argument, never crash. Distinct per-edge (latency,
+// swap_latency) pairs become the graph's link classes; since LatencyModel
+// resolves costs per link type, a device may carry at most kLinkTypeCount
+// (= 3) distinct latency classes.
 #pragma once
 
 #include <cstdint>
@@ -74,24 +77,6 @@ class DeviceModel {
   /// cannot be loaded must fail loudly, never map on an idealized fallback.
   static DeviceModel load_file(const std::string& path);
 
-  /// The five builtin topologies re-expressed as generated device specs:
-  /// "line", "grid", "heavy_hex", "sycamore", "lattice". `n` snaps up to the
-  /// topology's native size exactly as the corresponding engine does; the
-  /// calibration is the uniform default (lattice carries its §2.3 weighted
-  /// latencies: 2-cycle CNOT/CPHASE, SWAP 2 on fast links and 6 on axial).
-  static DeviceModel builtin(const std::string& topology, std::int32_t n);
-  static std::vector<std::string> builtin_names();
-
-  /// The default NISQ spec LatencyModel::nisq() resolves from: one uniform
-  /// 1-cycle latency class, default error rates.
-  static const DeviceModel& nisq_spec();
-
-  /// Wraps an existing coupling graph (uniform default calibration, with a
-  /// per-link-type latency table) — how the builtins are generated.
-  static DeviceModel from_graph(std::string name, const CouplingGraph& g,
-                                const Cycle latency[kLinkTypeCount],
-                                const Cycle swap_latency[kLinkTypeCount]);
-
   const std::string& name() const { return name_; }
   std::int32_t num_qubits() const { return num_qubits_; }
   const std::vector<DeviceQubit>& qubits() const { return qubits_; }
@@ -127,20 +112,13 @@ class DeviceModel {
   LatencyModel latency_model(const CouplingGraph& g) const;
 
   /// Uniform-device resolution (exactly one latency class): no graph needed
-  /// because no cost varies by link. This is the nisq() path.
+  /// because no cost varies by link.
   LatencyModel latency_model() const;
 
-  /// Mean rates over the device — the closed-form NoiseModel equivalent for
-  /// callers that don't walk gate-by-gate.
+  /// Mean single-qubit error rate over the device.
   double mean_error_1q() const;
-  double mean_error_2q() const;
-  double mean_coherence_cycles() const;
 
  private:
-  /// Validates, assigns latency classes and builds the edge index. `where`
-  /// prefixes error messages. Called by every factory.
-  void finalize(const std::string& where);
-
   /// Shared resolution core; `g` may be null only for uniform devices.
   LatencyModel resolve_latency(const CouplingGraph* g) const;
 

@@ -1,14 +1,6 @@
 #include "arch/latency_model.hpp"
 
-#include "arch/device_model.hpp"
-
 namespace qfto {
-
-LatencyModel LatencyModel::nisq() {
-  // Resolved from the default NISQ device spec, not hardwired: editing the
-  // spec's calibration changes what nisq() means, which is the point.
-  return DeviceModel::nisq_spec().latency_model();
-}
 
 LatencyModel LatencyModel::lattice(const CouplingGraph& g) {
   LatencyModel m;

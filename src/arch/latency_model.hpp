@@ -34,11 +34,6 @@ class LatencyModel {
   /// Every gate costs one cycle — the paper's NISQ "step" count.
   static LatencyModel unit() { return LatencyModel(); }
 
-  /// The NISQ model resolved from DeviceModel::nisq_spec()'s calibration
-  /// table — no longer a hardcoded alias of unit(), though the default spec
-  /// is deliberately unit-equivalent (pinned by a regression test).
-  static LatencyModel nisq();
-
   /// Lattice-surgery weighted latency resolved against `g`'s link types. The
   /// model holds a pointer to `g`; the graph must outlive it. Gates on
   /// non-edges (never produced by our mappers; possible for baselines

@@ -1,6 +1,8 @@
 #include "service/net_server.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -47,6 +49,26 @@ bool iequals(const std::string& a, const char* b) {
     }
   }
   return i == a.size() && b[i] == '\0';
+}
+
+/// Reads and drops input until EOF, `max_bytes` or `budget`, whichever
+/// comes first.
+void discard_input(Socket& sock, std::size_t max_bytes,
+                   std::chrono::steady_clock::duration budget) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  char buf[16384];
+  for (std::size_t total = 0; total < max_bytes;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{sock.fd(), POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+      return;
+    }
+    const long got = sock.recv_some(buf, sizeof(buf));
+    if (got <= 0) return;
+    total += static_cast<std::size_t>(got);
+  }
 }
 
 /// One queued response slot: either a JobHandle the writer will wait on, or
@@ -150,7 +172,12 @@ class Session {
       {
         std::unique_lock<std::mutex> lock(mutex_);
         cv_.wait(lock, [&] { return reader_done_ || !pending_.empty(); });
-        if (pending_.empty()) return true;  // drained
+        if (pending_.empty()) {
+          drained_ = true;
+          lock.unlock();
+          cv_.notify_all();
+          return true;
+        }
         entry = std::move(pending_.front());
         pending_.pop_front();
         if (entry.handle.valid()) {
@@ -182,6 +209,14 @@ class Session {
     cv_.notify_all();
     for (Pending& orphan : orphans) abandon(orphan);
     return false;
+  }
+
+  /// After finish_reading(): waits for write_loop to return; true when it
+  /// delivered every response, false when the client died first.
+  bool wait_drained() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return drained_ || dead_; });
+    return drained_;
   }
 
   /// Drain past its budget: flips the cancel token of every queued job and
@@ -237,7 +272,8 @@ class Session {
   std::size_t jobs_pending_ = 0;  // entries in `pending_` that carry a job
   JobHandle writing_;             // job the writer is currently waiting on
   bool reader_done_ = false;
-  bool dead_ = false;  // a send failed; the client is abandoned
+  bool drained_ = false;  // write_loop answered everything and returned
+  bool dead_ = false;     // a send failed; the client is abandoned
 };
 
 }  // namespace
@@ -374,8 +410,9 @@ void NetServer::serve_connection(Connection& conn) {
     if (line.find_first_not_of(" \t") == std::string::npos) continue;
     if (!conn.session.push(conn.session.make_entry(line))) break;
   }
-  if (reader.status() == LineReader::Status::kOverflow) {
-    // Protocol violation: report in-band, then stop reading — the rest of
+  const bool overflow = reader.status() == LineReader::Status::kOverflow;
+  if (overflow) {
+    // Protocol violation: report in-band, then stop serving — the rest of
     // the stream has no trustworthy framing.
     metrics_.requests.fetch_add(1, std::memory_order_relaxed);
     metrics_.parse_errors.fetch_add(1, std::memory_order_relaxed);
@@ -387,6 +424,15 @@ void NetServer::serve_connection(Connection& conn) {
     conn.session.push(std::move(entry));
   }
   conn.session.finish_reading();
+  if (overflow && conn.session.wait_drained()) {
+    // Closing with the client's unread bytes still queued would reset the
+    // connection, and a reset can destroy the error line before the client
+    // reads it. Half-close instead, so the client reads EOF after the line,
+    // and discard what it still sends: at most 16 MiB or one second, so a
+    // client that never stops cannot hold this thread.
+    ::shutdown(conn.sock.fd(), SHUT_WR);
+    discard_input(conn.sock, 16u << 20, std::chrono::seconds(1));
+  }
   conn.mark_exited();
 }
 

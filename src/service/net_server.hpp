@@ -6,7 +6,9 @@
 // request order while jobs run concurrently under the service's
 // priority/deadline semantics. Unlike stdio, a connection sheds, bounds its
 // line length (an overlong line gets an in-band error, then the connection
-// stops reading) and drops a last frame that lacks '\n'.
+// half-closes and discards the rest of the client's input before closing, so
+// the client reads EOF rather than a reset) and drops a last frame that lacks
+// '\n'.
 //
 // Two protocols share the port, sniffed from the first bytes of each
 // connection:

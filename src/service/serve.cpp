@@ -1,241 +1,17 @@
 #include "service/serve.hpp"
 
 #include "arch/device_model.hpp"
+#include "common/json.hpp"
 #include "qasm/qasm.hpp"
 #include "sat/federation/portfolio.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 
 namespace qfto {
 
 namespace {
-
-// ------------------------------------------------- minimal flat-JSON read --
-// The protocol needs exactly one shape — a single-level object with string,
-// number, bool and null values — so the parser is a few dozen lines instead
-// of a JSON library dependency. Every access is length-bounded: the input is
-// a string_view over a socket buffer, so neither keyword matching nor number
-// parsing may assume a NUL terminator past `end`.
-
-struct JsonValue {
-  enum Kind { kString, kNumber, kBool, kNull } kind = kNull;
-  std::string str;     // kString payload
-  double num = 0.0;    // kNumber payload
-  bool flag = false;   // kBool payload
-  std::string raw;     // verbatim token, used to echo `id` back
-};
-
-struct FlatJsonParser {
-  const char* p;
-  const char* end;
-  std::string error;
-
-  explicit FlatJsonParser(std::string_view s)
-      : p(s.data()), end(s.data() + s.size()) {}
-
-  void skip_ws() {
-    while (p < end && std::isspace(static_cast<unsigned char>(*p))) ++p;
-  }
-
-  bool fail(const std::string& what) {
-    error = what;
-    return false;
-  }
-
-  /// Remaining input starts with `kw` (bounds-checked *before* comparing —
-  /// the tail may be shorter than the keyword and is not NUL-terminated).
-  bool match_keyword(const char* kw, std::size_t len) {
-    if (static_cast<std::size_t>(end - p) < len) return false;
-    if (std::memcmp(p, kw, len) != 0) return false;
-    p += len;
-    return true;
-  }
-
-  /// Appends `cp` (a Unicode scalar value) to `out` as UTF-8.
-  static void append_utf8(std::string& out, std::uint32_t cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  /// Four hex digits after a \u escape.
-  bool parse_hex4(std::uint32_t& out) {
-    if (end - p < 4) return fail("truncated \\u escape");
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = *p++;
-      std::uint32_t digit;
-      if (c >= '0' && c <= '9') {
-        digit = static_cast<std::uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        digit = static_cast<std::uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        digit = static_cast<std::uint32_t>(c - 'A' + 10);
-      } else {
-        return fail("bad hex digit in \\u escape");
-      }
-      out = (out << 4) | digit;
-    }
-    return true;
-  }
-
-  bool parse_string(std::string& out) {
-    if (p >= end || *p != '"') return fail("expected string");
-    ++p;
-    out.clear();
-    while (p < end && *p != '"') {
-      char c = *p++;
-      if (c == '\\') {
-        if (p >= end) return fail("dangling escape");
-        const char esc = *p++;
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u': {
-            std::uint32_t cp;
-            if (!parse_hex4(cp)) return false;
-            if (cp >= 0xD800 && cp <= 0xDBFF) {
-              // High surrogate: a low surrogate must follow, the pair
-              // combining into one supplementary-plane scalar.
-              if (end - p < 2 || p[0] != '\\' || p[1] != 'u') {
-                return fail("unpaired surrogate in \\u escape");
-              }
-              p += 2;
-              std::uint32_t low;
-              if (!parse_hex4(low)) return false;
-              if (low < 0xDC00 || low > 0xDFFF) {
-                return fail("unpaired surrogate in \\u escape");
-              }
-              cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-            } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-              return fail("unpaired surrogate in \\u escape");
-            }
-            append_utf8(out, cp);
-            continue;  // already appended, possibly multi-byte
-          }
-          default: return fail("unsupported escape");
-        }
-      }
-      out += c;
-    }
-    if (p >= end) return fail("unterminated string");
-    ++p;  // closing quote
-    return true;
-  }
-
-  bool parse_number(JsonValue& out) {
-    // strtod reads until it stops recognizing number syntax — on a buffer
-    // with no NUL terminator that walk can run past `end`. Copy the token
-    // into a bounded, NUL-terminated stack buffer first. 63 chars is far
-    // beyond any finite double's shortest spelling, so overflow here is a
-    // malformed token, not a lost precision case.
-    char buf[64];
-    std::size_t len = 0;
-    while (p + len < end) {
-      const char c = p[len];
-      const bool number_char = (c >= '0' && c <= '9') || c == '+' ||
-                               c == '-' || c == '.' || c == 'e' || c == 'E';
-      if (!number_char) break;
-      if (len + 1 >= sizeof(buf)) return fail("number token too long");
-      buf[len] = c;
-      ++len;
-    }
-    if (len == 0) return fail("expected value");
-    buf[len] = '\0';
-    char* num_end = nullptr;
-    out.num = std::strtod(buf, &num_end);
-    if (num_end != buf + len) return fail("expected value");
-    // 1e999 parses as inf; letting it through would feed non-finite
-    // deadlines/budgets into duration arithmetic (float-cast UB).
-    if (!std::isfinite(out.num)) return fail("non-finite number");
-    out.kind = JsonValue::kNumber;
-    p += len;
-    return true;
-  }
-
-  bool parse_value(JsonValue& out) {
-    skip_ws();
-    if (p >= end) return fail("expected value");
-    const char* start = p;
-    if (*p == '"') {
-      out.kind = JsonValue::kString;
-      if (!parse_string(out.str)) return false;
-    } else if (match_keyword("true", 4)) {
-      out.kind = JsonValue::kBool;
-      out.flag = true;
-    } else if (match_keyword("false", 5)) {
-      out.kind = JsonValue::kBool;
-      out.flag = false;
-    } else if (match_keyword("null", 4)) {
-      out.kind = JsonValue::kNull;
-    } else {
-      if (!parse_number(out)) return false;
-    }
-    out.raw.assign(start, p);
-    return true;
-  }
-
-  bool parse_object(std::map<std::string, JsonValue>& out) {
-    skip_ws();
-    if (p >= end || *p != '{') return fail("expected '{'");
-    ++p;
-    skip_ws();
-    if (p < end && *p == '}') {
-      ++p;
-    } else {
-      for (;;) {
-        skip_ws();
-        std::string key;
-        if (!parse_string(key)) return false;
-        skip_ws();
-        if (p >= end || *p != ':') return fail("expected ':'");
-        ++p;
-        JsonValue value;
-        if (!parse_value(value)) return false;
-        if (!out.emplace(std::move(key), std::move(value)).second) {
-          return fail("duplicate key");
-        }
-        skip_ws();
-        if (p < end && *p == ',') {
-          ++p;
-          continue;
-        }
-        if (p < end && *p == '}') {
-          ++p;
-          break;
-        }
-        return fail("expected ',' or '}'");
-      }
-    }
-    skip_ws();
-    if (p != end) return fail("trailing content after object");
-    return true;
-  }
-};
 
 // ------------------------------------------------------------ JSON write --
 
@@ -291,16 +67,36 @@ bool status_retryable(const std::string& status) {
   return status == "timeout" || status == "shed";
 }
 
+// ----------------------------------------------------- member values --
+// A request member's value is kept as its verbatim token, which
+// json::Reader::scalar has already validated; these read it back as the
+// type a field needs, false when the token is of another type.
+
+bool as_string(std::string_view v, std::string& out) {
+  if (v.front() != '"') return false;
+  out = json::Reader(v).string();
+  return true;
+}
+
+bool as_number(std::string_view v, double& out) {
+  // Strings and the true/false/null keywords are the non-number tokens.
+  const char c = v.front();
+  if (c == '"' || c == 't' || c == 'f' || c == 'n') return false;
+  out = json::Reader(v).number();
+  return true;
+}
+
 /// Integer field helper: the protocol's counts must be integral. Values
 /// outside the exact-double range are rejected *before* the cast — a
 /// hostile {"n": 1e19} must come back as an in-band error, not trip the
 /// float-cast-overflow UB the sanitizer leg aborts on.
-bool as_int(const JsonValue& v, std::int64_t& out) {
+bool as_int(std::string_view v, std::int64_t& out) {
   constexpr double kExact = 9007199254740992.0;  // 2^53
-  if (v.kind != JsonValue::kNumber) return false;
-  if (!(v.num >= -kExact && v.num <= kExact)) return false;
-  const auto i = static_cast<std::int64_t>(v.num);
-  if (static_cast<double>(i) != v.num) return false;
+  double x = 0.0;
+  if (!as_number(v, x)) return false;
+  if (!(x >= -kExact && x <= kExact)) return false;
+  const auto i = static_cast<std::int64_t>(x);
+  if (static_cast<double>(i) != x) return false;
   out = i;
   return true;
 }
@@ -309,26 +105,32 @@ bool as_int(const JsonValue& v, std::int64_t& out) {
 
 ServeRequest parse_serve_request(std::string_view line) {
   ServeRequest req;
-  std::map<std::string, JsonValue> fields;
-  FlatJsonParser parser(line);
-  if (!parser.parse_object(fields)) {
-    req.error = "parse error: " + parser.error;
+  // The whole line is read before any field is looked at, so a syntax error
+  // anywhere is a parse error and every field rejection can echo the id.
+  std::map<std::string, std::string_view> fields;
+  try {
+    json::Reader reader(line);
+    reader.object([&](const std::string& key) {
+      if (!fields.emplace(key, reader.scalar()).second) {
+        reader.fail("duplicate key");
+      }
+    });
+    if (!reader.at_end()) reader.fail("trailing content after object");
+  } catch (const json::Error& e) {
+    req.error = std::string("parse error: ") + e.what();
     return req;
   }
 
-  // Resolve `id` first so every rejection below can still echo it.
   if (const auto it = fields.find("id"); it != fields.end()) {
-    if (it->second.kind == JsonValue::kString) {
-      req.id = "\"" + json_escape(it->second.str) + "\"";
-    } else {
-      req.id = it->second.raw;
-    }
+    std::string id;
+    req.id = as_string(it->second, id) ? "\"" + json_escape(id) + "\""
+                                       : std::string(it->second);
   }
 
   // A stats request is its own shape: {"metrics":true} plus an optional id,
   // nothing else — mixing it with job fields is a client bug.
   if (const auto it = fields.find("metrics"); it != fields.end()) {
-    if (it->second.kind != JsonValue::kBool || !it->second.flag) {
+    if (it->second != "true") {
       req.error = "\"metrics\" must be true";
       return req;
     }
@@ -342,168 +144,126 @@ ServeRequest parse_serve_request(std::string_view line) {
   }
 
   std::int64_t n = -1, m = -1;
+  bool synced = false;
+  MapOptions& options = req.request.options;
   for (const auto& [key, value] : fields) {
+    bool* const flag = key == "cache"             ? &req.submit.use_cache
+                       : key == "verify"          ? &options.verify
+                       : key == "strict_ie"       ? &options.strict_ie
+                       : key == "synced"          ? &synced
+                       : key == "sat_incremental" ? &options.satmap.incremental
+                       : key == "portfolio"       ? &options.satmap.portfolio
+                       : key == "sat_core_guided" ? &options.satmap.core_guided
+                                                  : nullptr;
     std::int64_t i = 0;
+    double x = 0.0;
+    std::string s;
+    const char* must = nullptr;  // what a rejected value must be instead
     if (key == "id") {
       // handled above
+    } else if (flag != nullptr) {
+      if (value != "true" && value != "false") {
+        must = "a bool";
+      } else {
+        *flag = value == "true";
+      }
     } else if (key == "engine") {
-      if (value.kind != JsonValue::kString) {
-        req.error = "\"engine\" must be a string";
-        return req;
-      }
-      req.request.engine = value.str;
-    } else if (key == "n") {
-      if (!as_int(value, n)) {
-        req.error = "\"n\" must be an integer";
-        return req;
-      }
-    } else if (key == "m") {
-      if (!as_int(value, m)) {
-        req.error = "\"m\" must be an integer";
-        return req;
-      }
+      if (!as_string(value, req.request.engine)) must = "a string";
+    } else if (key == "n" || key == "m") {
+      if (!as_int(value, key == "n" ? n : m)) must = "an integer";
     } else if (key == "priority") {
       if (!as_int(value, i) || i < INT32_MIN || i > INT32_MAX) {
-        req.error = "\"priority\" must be a 32-bit integer";
-        return req;
+        must = "a 32-bit integer";
+      } else {
+        req.submit.priority = static_cast<std::int32_t>(i);
       }
-      req.submit.priority = static_cast<std::int32_t>(i);
-    } else if (key == "deadline") {
-      if (value.kind != JsonValue::kNumber || value.num <= 0.0) {
-        req.error = "\"deadline\" must be a positive number of seconds";
-        return req;
+    } else if (key == "deadline" || key == "budget") {
+      if (!as_number(value, x) || x <= 0.0) {
+        must = "a positive number of seconds";
+      } else {
+        (key == "deadline" ? req.submit.deadline_seconds
+                           : options.satmap.time_budget_seconds) = x;
       }
-      req.submit.deadline_seconds = value.num;
-    } else if (key == "cache") {
-      if (value.kind != JsonValue::kBool) {
-        req.error = "\"cache\" must be a bool";
-        return req;
-      }
-      req.submit.use_cache = value.flag;
-    } else if (key == "verify") {
-      if (value.kind != JsonValue::kBool) {
-        req.error = "\"verify\" must be a bool";
-        return req;
-      }
-      req.request.options.verify = value.flag;
-    } else if (key == "strict_ie") {
-      if (value.kind != JsonValue::kBool) {
-        req.error = "\"strict_ie\" must be a bool";
-        return req;
-      }
-      req.request.options.strict_ie = value.flag;
-    } else if (key == "synced") {
-      if (value.kind != JsonValue::kBool) {
-        req.error = "\"synced\" must be a bool";
-        return req;
-      }
-      if (value.flag) req.request.options.lattice_phase_offset = 0;
     } else if (key == "trials") {
       if (!as_int(value, i) || i < 1 || i > INT32_MAX) {
-        req.error = "\"trials\" must be a positive 32-bit integer";
-        return req;
+        must = "a positive 32-bit integer";
+      } else {
+        options.sabre.trials = static_cast<std::int32_t>(i);
       }
-      req.request.options.sabre.trials = static_cast<std::int32_t>(i);
     } else if (key == "seed") {
       if (!as_int(value, i) || i < 0) {
-        req.error = "\"seed\" must be a non-negative integer";
-        return req;
+        must = "a non-negative integer";
+      } else {
+        options.sabre.seed = static_cast<std::uint64_t>(i);
       }
-      req.request.options.sabre.seed = static_cast<std::uint64_t>(i);
-    } else if (key == "budget") {
-      if (value.kind != JsonValue::kNumber || value.num <= 0.0) {
-        req.error = "\"budget\" must be a positive number of seconds";
-        return req;
-      }
-      req.request.options.satmap.time_budget_seconds = value.num;
     } else if (key == "solver") {
       // Backend existence is validated at route time (the registry may have
       // grown), but the obvious typo class fails fast here.
-      if (value.kind != JsonValue::kString || value.str.empty()) {
-        req.error = "\"solver\" must be a non-empty string";
-        return req;
+      if (!as_string(value, options.satmap.solver) ||
+          options.satmap.solver.empty()) {
+        must = "a non-empty string";
       }
-      req.request.options.satmap.solver = value.str;
-    } else if (key == "sat_incremental") {
-      if (value.kind != JsonValue::kBool) {
-        req.error = "\"sat_incremental\" must be a bool";
-        return req;
-      }
-      req.request.options.satmap.incremental = value.flag;
-    } else if (key == "portfolio") {
-      if (value.kind != JsonValue::kBool) {
-        req.error = "\"portfolio\" must be a bool";
-        return req;
-      }
-      req.request.options.satmap.portfolio = value.flag;
     } else if (key == "lanes") {
-      std::int64_t i = 0;
       if (!as_int(value, i) || i < 1 || i > 64) {
-        req.error = "\"lanes\" must be an integer in [1, 64]";
-        return req;
+        must = "an integer in [1, 64]";
+      } else {
+        options.satmap.lanes = static_cast<std::int32_t>(i);
       }
-      req.request.options.satmap.lanes = static_cast<std::int32_t>(i);
-    } else if (key == "sat_core_guided") {
-      if (value.kind != JsonValue::kBool) {
-        req.error = "\"sat_core_guided\" must be a bool";
-        return req;
-      }
-      req.request.options.satmap.core_guided = value.flag;
     } else if (key == "device") {
       // Calibrated device description: a file path, or the device JSON
       // itself inline when the string starts with '{' (after optional
       // leading whitespace). Loaded right here so a malformed description
       // answers in-band with the loader's positioned message instead of a
       // late job failure.
-      if (value.kind != JsonValue::kString || value.str.empty()) {
-        req.error = "\"device\" must be a non-empty string (file path or "
-                    "inline device JSON)";
-        return req;
-      }
-      const std::size_t first = value.str.find_first_not_of(" \t\r\n");
-      try {
-        DeviceModel dm = (first != std::string::npos &&
-                          value.str[first] == '{')
-                             ? DeviceModel::from_json(value.str)
-                             : DeviceModel::load_file(value.str);
-        req.request.options.device =
-            std::make_shared<const DeviceModel>(std::move(dm));
-        req.device_loaded = true;
-      } catch (const std::invalid_argument& e) {
-        req.device_error = true;
-        req.error = std::string("bad \"device\": ") + e.what();
-        return req;
+      if (!as_string(value, s) || s.empty()) {
+        must = "a non-empty string (file path or inline device JSON)";
+      } else {
+        const std::size_t first = s.find_first_not_of(" \t\r\n");
+        try {
+          DeviceModel dm = (first != std::string::npos && s[first] == '{')
+                               ? DeviceModel::from_json(s)
+                               : DeviceModel::load_file(s);
+          options.device = std::make_shared<const DeviceModel>(std::move(dm));
+          req.device_loaded = true;
+        } catch (const std::invalid_argument& e) {
+          req.device_error = true;
+          req.error = std::string("bad \"device\": ") + e.what();
+          return req;
+        }
       }
     } else if (key == "objective") {
-      if (value.kind == JsonValue::kString && value.str == "depth") {
-        req.request.options.objective = Objective::kDepth;
-      } else if (value.kind == JsonValue::kString &&
-                 value.str == "fidelity") {
-        req.request.options.objective = Objective::kFidelity;
+      as_string(value, s);  // `s` stays empty for a non-string
+      if (s == "depth") {
+        options.objective = Objective::kDepth;
+      } else if (s == "fidelity") {
+        options.objective = Objective::kFidelity;
       } else {
-        req.error = "\"objective\" must be \"depth\" or \"fidelity\"";
-        return req;
+        must = "\"depth\" or \"fidelity\"";
       }
     } else if (key == "qasm") {
       // General-circuit ingestion: the request maps this OpenQASM 2.0
       // program (newlines arrive as \n escapes) instead of QFT(n). Parse
       // errors surface in-band with from_qasm's line-numbered message.
-      if (value.kind != JsonValue::kString || value.str.empty()) {
-        req.error = "\"qasm\" must be a non-empty OpenQASM 2.0 string";
-        return req;
-      }
-      try {
-        req.request.circuit =
-            std::make_shared<const Circuit>(from_qasm(value.str));
-      } catch (const std::invalid_argument& e) {
-        req.error = std::string("bad \"qasm\": ") + e.what();
-        return req;
+      if (!as_string(value, s) || s.empty()) {
+        must = "a non-empty OpenQASM 2.0 string";
+      } else {
+        try {
+          req.request.circuit = std::make_shared<const Circuit>(from_qasm(s));
+        } catch (const std::invalid_argument& e) {
+          req.error = std::string("bad \"qasm\": ") + e.what();
+          return req;
+        }
       }
     } else {
       req.error = "unknown field \"" + json_escape(key) + "\"";
       return req;
     }
+    if (must != nullptr) {
+      req.error = "\"" + key + "\" must be " + must;
+      return req;
+    }
   }
+  if (synced) options.lattice_phase_offset = 0;
 
   if (req.request.engine.empty()) {
     req.error = "missing \"engine\"";

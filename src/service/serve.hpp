@@ -38,8 +38,10 @@
 // ("depth" | "fidelity": what SABRE optimizes — fidelity scores candidate
 // SWAPs by calibrated expected log-success). Unknown fields are an
 // error, so typos fail loudly instead of silently mapping with defaults.
-// String values accept the full JSON escape set including \uXXXX (surrogate
-// pairs encode as UTF-8).
+// Lines are read by the one JSON reader (common/json.hpp) that device files
+// also go through: string values accept the full JSON escape set including
+// \uXXXX (surrogate pairs encode as UTF-8), and every member value must be a
+// string, number, bool or null — anything else is a parse error.
 //
 // `{"metrics": true}` (no other fields; optional `id`) answers immediately
 // with a one-line stats document instead of submitting a job — the same

@@ -239,7 +239,7 @@ TEST(LatticeSurgery, FullGraphHasBothFamilies) {
 }
 
 TEST(LatencyModel, NisqUniform) {
-  const LatencyModel lat = LatencyModel::nisq();
+  const LatencyModel lat = LatencyModel::unit();
   EXPECT_EQ(lat(Gate::h(0)), 1);
   EXPECT_EQ(lat(Gate::swap(0, 1)), 1);
 }

@@ -1,8 +1,7 @@
 // Device descriptions end-to-end: the JSON loader's strict positioned
-// validation, fingerprint semantics, builtin-spec equivalence with the
-// topology builders, the nisq() latency regression, calibrated fidelity
-// accounting, SABRE's fidelity objective, and the calibration-keyed
-// ResultCache (fingerprint fragmentation + TTL aging).
+// validation, fingerprint semantics, multi-class latency resolution,
+// calibrated fidelity accounting, SABRE's fidelity objective, and the
+// calibration-keyed ResultCache (fingerprint fragmentation + TTL aging).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -75,6 +74,43 @@ TEST(DeviceJson, RejectsDuplicateEdge) {
   EXPECT_NE(msg.find("line"), std::string::npos) << msg;
 }
 
+TEST(DeviceJson, DuplicateEdgeInALargeDeviceIsPositioned) {
+  // 60,000 edges one per line, then a repeat of the first on line 60,002:
+  // the check is one hash probe per edge, so this loads in milliseconds.
+  std::string text = "{\"qubits\": 60001, \"edges\": [\n";
+  for (int i = 0; i < 60000; ++i) {
+    text += "{\"a\": " + std::to_string(i) + ", \"b\": " +
+            std::to_string(i + 1) + "},\n";
+  }
+  text += "{\"a\": 1, \"b\": 0}]}\n";
+  const std::string msg = error_of(text);
+  EXPECT_NE(msg.find("device json line 60002: duplicate edge (1, 0)"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(DeviceJson, AcceptsTheProtocolEscapesAndWhitespace) {
+  // The serve protocol's escapes (\r \b \f \uXXXX, surrogate pairs) and the
+  // isspace set (\v, \f) read the same in device files.
+  const DeviceModel dev = DeviceModel::from_json(
+      "{\"name\": \"caf\\u00e9\\r\\b\\f\\uD83D\\uDE00\",\v\f\r\n"
+      "\"qubits\": 2, \"edges\": [{\"a\": 0, \"b\": 1}]}");
+  EXPECT_EQ(dev.name(), "caf\xC3\xA9\r\b\f\xF0\x9F\x98\x80");
+  EXPECT_EQ(dev.fingerprint(),
+            DeviceModel::from_json(
+                R"({"qubits": 2, "edges": [{"a": 0, "b": 1}]})")
+                .fingerprint());
+  const std::string msg = error_of("{\"qubits\": 2,\n\"name\": \"\\uD83D\"}");
+  EXPECT_NE(msg.find("device json line 2: unpaired surrogate"),
+            std::string::npos)
+      << msg;
+  // A string that never closes is reported on the line where it opened.
+  const std::string open = error_of("{\"qubits\": 2,\n\"name\": \"ab\n\n");
+  EXPECT_NE(open.find("device json line 2: unterminated string"),
+            std::string::npos)
+      << open;
+}
+
 TEST(DeviceJson, RejectsOutOfRangeErrorRates) {
   const std::string edge = error_of(
       R"({"qubits": 2, "edges": [{"a": 0, "b": 1, "error": 1.0}]})");
@@ -129,28 +165,30 @@ TEST(DeviceModelTest, FingerprintIgnoresNameTracksCalibration) {
             base.fingerprint());
 }
 
-TEST(DeviceModelTest, BuiltinSpecsMatchTopologyBuilders) {
-  for (const std::string& name : DeviceModel::builtin_names()) {
-    EXPECT_GT(DeviceModel::builtin(name, 4).num_qubits(), 0) << name;
+// The lattice-surgery calibration written as device JSON: CNOT/CPHASE cost
+// 2 on every link, SWAP 2 on fast (diagonal-tile) links and 6 on axial ones.
+std::string lattice_device_json(const CouplingGraph& g) {
+  std::string edges;
+  for (std::int32_t a = 0; a < g.num_qubits(); ++a) {
+    for (const PhysicalQubit b : g.neighbors(a)) {
+      if (b <= a) continue;  // undirected: each edge once
+      const Cycle swap = g.link_type(a, b) == LinkType::kFast
+                             ? kLsFastSwapDepth
+                             : kLsSlowSwapDepth;
+      if (!edges.empty()) edges += ",\n";
+      edges += "{\"a\": " + std::to_string(a) + ", \"b\": " +
+               std::to_string(b) + ", \"latency\": " +
+               std::to_string(kLsCnotDepth) +
+               ", \"swap_latency\": " + std::to_string(swap) + "}";
+    }
   }
-  const CouplingGraph line = make_line(5);
-  const CouplingGraph from_dev = DeviceModel::builtin("line", 5).build_graph();
-  ASSERT_EQ(from_dev.num_qubits(), line.num_qubits());
-  EXPECT_EQ(from_dev.num_edges(), line.num_edges());
-  for (std::int32_t a = 0; a < 5; ++a)
-    for (std::int32_t b = 0; b < 5; ++b)
-      EXPECT_EQ(from_dev.adjacent(a, b), line.adjacent(a, b)) << a << b;
-
-  const CouplingGraph grid = make_grid(3, 3);
-  const CouplingGraph gdev = DeviceModel::builtin("grid", 9).build_graph();
-  ASSERT_EQ(gdev.num_qubits(), grid.num_qubits());
-  EXPECT_EQ(gdev.num_edges(), grid.num_edges());
-
-  EXPECT_THROW(DeviceModel::builtin("torus", 4), std::invalid_argument);
+  return "{\"name\": \"lattice-3\", \"qubits\": " +
+         std::to_string(g.num_qubits()) + ", \"edges\": [\n" + edges + "]}";
 }
 
-TEST(DeviceModelTest, LatticeBuiltinCarriesWeightedLatencies) {
-  const DeviceModel dev = DeviceModel::builtin("lattice", 9);
+TEST(DeviceModelTest, LatticeCalibrationCarriesWeightedLatencies) {
+  const CouplingGraph ref = make_lattice_surgery_rotated(3);
+  const DeviceModel dev = DeviceModel::from_json(lattice_device_json(ref));
   EXPECT_GT(dev.latency_classes(), 1u);
   // Link-dependent costs cannot resolve without the graph's labeling.
   EXPECT_THROW(dev.latency_model(), std::invalid_argument);
@@ -159,9 +197,9 @@ TEST(DeviceModelTest, LatticeBuiltinCarriesWeightedLatencies) {
   // build_graph() labels link classes by its own ascending ordering, so the
   // comparison with the hand-written lattice model goes per physical edge
   // (node ids are preserved), not per LinkType enumerator.
-  const CouplingGraph ref = make_lattice_surgery_rotated(3);
   const LatencyModel want = LatencyModel::lattice(ref);
   ASSERT_EQ(g.num_qubits(), ref.num_qubits());
+  EXPECT_EQ(g.num_edges(), ref.num_edges());
   for (std::int32_t a = 0; a < g.num_qubits(); ++a) {
     for (std::int32_t b = a + 1; b < g.num_qubits(); ++b) {
       if (!ref.adjacent(a, b)) continue;
@@ -171,24 +209,6 @@ TEST(DeviceModelTest, LatticeBuiltinCarriesWeightedLatencies) {
       EXPECT_EQ(lat.cycles(Gate::cphase(a, b, 0.5)),
                 want.cycles(Gate::cphase(a, b, 0.5)))
           << "cphase " << a << "-" << b;
-    }
-  }
-}
-
-// The regression ISSUE 10 pins: nisq() resolves from the default device
-// spec's calibration table and that spec is deliberately unit-equivalent.
-TEST(DeviceModelTest, NisqResolvesFromDefaultSpecAndEqualsUnit) {
-  const LatencyModel nisq = LatencyModel::nisq();
-  const LatencyModel unit = LatencyModel::unit();
-  const LatencyModel spec = DeviceModel::nisq_spec().latency_model();
-  for (std::size_t k = 0; k < kGateKindCount; ++k) {
-    for (std::size_t l = 0; l < kLinkTypeCount; ++l) {
-      const auto kind = static_cast<GateKind>(k);
-      const auto link = static_cast<LinkType>(l);
-      EXPECT_EQ(nisq.cycles_on_link(kind, link),
-                unit.cycles_on_link(kind, link));
-      EXPECT_EQ(nisq.cycles_on_link(kind, link),
-                spec.cycles_on_link(kind, link));
     }
   }
 }

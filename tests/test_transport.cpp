@@ -241,13 +241,17 @@ TEST(Transport, OversizedLineGetsInBandErrorThenClose) {
 
   Socket sock = connect_to(server);
   LineReader reader(sock);
-  const std::string huge(2048, 'x');
-  ASSERT_TRUE(sock.send_all(huge));  // no newline yet: one unframed blob
+  // No newline: one unframed blob running 256 KiB past the bound.
+  const std::string huge(512 + (256 << 10), 'x');
+  ASSERT_TRUE(sock.send_all(huge));
   const std::string line = read_line(reader);
   EXPECT_NE(line.find("\"status\":\"error\""), std::string::npos) << line;
   EXPECT_NE(line.find("exceeds"), std::string::npos) << line;
   std::string extra;
   EXPECT_FALSE(reader.next(extra)) << "server must stop reading after abuse";
+  // A clean close after the error line, not a reset: the server discards
+  // the unread rest of the blob before it closes.
+  EXPECT_EQ(reader.status(), LineReader::Status::kEof);
 }
 
 TEST(Transport, PartialFrameIsDroppedSilently) {
